@@ -92,10 +92,6 @@ def canonicalize(word: str, corner: int) -> Vertex:
         return (word, 3)
 
 
-def is_canonical(v: Vertex) -> bool:
-    return canonicalize(*v) == v
-
-
 def vertex_str(v: Vertex) -> str:
     word, corner = v
     return f"{word or '-'}:{corner}"
@@ -114,22 +110,6 @@ def parse_vertex(text: str) -> Vertex:
     if corner not in CORNERS:
         raise ValueError(f"corner must be 1, 2 or 3 in {text!r}")
     return canonicalize(word, corner)
-
-
-def addresses_of(v: Vertex) -> tuple[str, set[str]]:
-    """Describe the infinite-address set of a lattice point.
-
-    Returns (prefix, tails): the point's addresses are exactly
-    prefix + t for infinite t with digits in tails, plus, for junction
-    points F_{k2}(q1) / F_{k3}(q1), the single alternate address
-    k02^inf / k13^inf (reported by in_cell below).
-    """
-    word, corner = v
-    if corner == 1:
-        return word, {"0", "1"}
-    if corner == 2:
-        return word, {"2"}
-    return word, {"3"}
 
 
 def in_cell(v: Vertex, cell: str) -> bool:

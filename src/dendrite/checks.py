@@ -107,13 +107,6 @@ def check_adjacency_degree(depth: int = 5):
     return True, f"contacts only at cell corners, exhaustive to depth {depth}"
 
 
-def len_common(a: str, b: str) -> int:
-    k = 0
-    while k < len(a) and k < len(b) and a[k] == b[k]:
-        k += 1
-    return k
-
-
 def check_tree_property(max_level: int = 7):
     for level in range(max_level + 1):
         g = build_level_graph(level)

@@ -40,9 +40,7 @@ from .measure import (
     integrate_pw_harmonic,
 )
 from .metric import Metric
-from .network import CapacityError, ball, ball_graph, build_level_graph
-
-DEFAULT_MAX_LEVEL = 12
+from .network import DEFAULT_MAX_LEVEL, CapacityError, ball, ball_graph, build_level_graph
 
 
 @dataclass
@@ -183,9 +181,6 @@ def cmd_ball(args, cfg: RunConfig) -> int:
     ]
     _write_report(args.out, cfg, ["quantity", "value"], rows)
     return 0
-
-
-_HARMONIC_KINDS = {"udown": u_down, "uup": lambda: u_up()}
 
 
 def _harmonic_spec(kind: str, params: str | None, s0: Fraction):

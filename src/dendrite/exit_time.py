@@ -17,7 +17,7 @@ from .dirichlet import VertexFunction, equilibrium_potential, green_g1
 from .measure import (
     IntegralBounds,
     WeightVector,
-    cell_measure,
+    cell_measure_table,
     classify_region_cells,
     harmonic_weights,
 )
@@ -200,15 +200,18 @@ def region_cell_masses(
     w: WeightVector, region: BallRegion, p: Optional[tuple] = None
 ) -> dict[Vertex, Fraction]:
     """Ball mass lumped onto interior lattice points, corner-weighted by p."""
-    p = p or harmonic_weights(w, region.graph.s0)
+    graph = region.graph
+    p = p or harmonic_weights(w, graph.s0)
     inside, straddle = classify_region_cells(region)
+    # a cell's share at each corner, by the cell's digits in {0,1}
+    shares = [[mu * pj for pj in p] for mu in cell_measure_table(w, graph.level)]
     masses: dict[Vertex, Fraction] = {}
-    for word in inside + straddle:
-        mu = cell_measure(w, word)
-        for j in (1, 2, 3):
-            v = canonicalize(word, j)
+    for k in inside + straddle:
+        share = shares[graph.s0_digits[k]]
+        for j in range(3):
+            v = graph.vertices[graph.corners[3 * k + j]]
             if v in region.interior:
-                masses[v] = masses.get(v, Fraction(0)) + mu * p[j - 1]
+                masses[v] = masses.get(v, Fraction(0)) + share[j]
     return masses
 
 
@@ -244,12 +247,13 @@ def g1_via_identity(
     region, psi, r = boundary_resistance(x, n, level, graph=graph, mode="exact")
     inside, straddle = classify_region_cells(region)
     p = harmonic_weights(w, graph.s0)
+    table = cell_measure_table(w, graph.level)
     lo = Fraction(0)
     hi = Fraction(0)
     exact = Fraction(0)
-    for word in inside + straddle:
-        mu = cell_measure(w, word)
-        vals = [psi.values[canonicalize(word, j)] for j in (1, 2, 3)]
+    for k in inside + straddle:
+        mu = table[graph.s0_digits[k]]
+        vals = [psi.values[graph.vertices[graph.corners[3 * k + j]]] for j in range(3)]
         lo += mu * min(vals)
         hi += mu * max(vals)
         exact += mu * sum(p[j] * vals[j] for j in range(3))

@@ -16,7 +16,7 @@ from typing import Optional
 from .addressing import Vertex, canonicalize
 from .dirichlet import VertexFunction, solve_dirichlet
 from .exit_time import fit_log2_slope
-from .measure import WeightVector, cell_measure
+from .measure import WeightVector, cell_measure_table, classify_region_cells
 from .network import BallRegion, LevelGraph, ball, ball_graph
 from .reduction import x_point_word
 
@@ -119,11 +119,11 @@ def extrema_over_subball(
     region: BallRegion, values: VertexFunction, radius: Fraction
 ) -> tuple[float, float]:
     """Extrema of a vertex function over B(q0, radius), cut edges interpolated."""
-    dist = region.distances
+    dist = region.dist
     graph = region.graph
     vals = values.values
     lo = hi = None
-    for v, d in dist.items():
+    for v, d in zip(graph.vertices, dist):
         if d < radius:
             x = float(vals[v])
             lo = x if lo is None or x < lo else lo
@@ -131,10 +131,10 @@ def extrema_over_subball(
     if lo is None:
         raise ValueError("sub-ball contains no vertices at this level")
     for i, j, c in graph.edges:
-        u, v = graph.vertices[i], graph.vertices[j]
-        du, dv = dist[u], dist[v]
+        du, dv = dist[i], dist[j]
         if (du < radius) == (dv < radius):
             continue
+        u, v = graph.vertices[i], graph.vertices[j]
         if du > dv:
             u, v, du, dv = v, u, dv, du
         t = float((radius - du) * c)  # crossing fraction along the edge
@@ -210,27 +210,21 @@ def weh_ratio(
     graph = graph or ball_graph(n, level)
     region, sol = boundary_harmonic(n, profile, level, graph=graph)
     half = Fraction(1, 2**(n + 1))
-    dist = region.distances
-    scale = Fraction(1, 2**graph.level)
+    inside, straddle = classify_region_cells(region, radius=half)
+    full = set(inside)
+    mu = [float(m) for m in cell_measure_table(w, graph.level)]
+    vertices, corners = graph.vertices, graph.corners
     d = float(delta)
     num_lo = num_hi = 0.0
     mass_in = mass_all = 0.0
-    for word in graph.words:
-        corners = [canonicalize(word, j) for j in (1, 2, 3)]
-        ds = [dist[c] for c in corners]
-        dmax = min(ds[0] + scale, ds[1] + 2 * scale, ds[2] + 2 * scale)
-        if min(ds) >= half:
-            continue
-        mu = float(cell_measure(w, word))
-        vals = [float(sol.values[c]) for c in corners]
-        if dmax < half:
-            mass_in += mu
-            mass_all += mu
-            num_lo += mu * min(vals) ** d
-            num_hi += mu * max(vals) ** d
-        else:
-            mass_all += mu
-            num_hi += mu * max(vals) ** d
+    for k in sorted(inside + straddle):  # the float sums run in word order
+        m = mu[graph.s0_digits[k]]
+        vals = [float(sol.values[vertices[corners[3 * k + j]]]) for j in range(3)]
+        mass_all += m
+        num_hi += m * max(vals) ** d
+        if k in full:
+            mass_in += m
+            num_lo += m * min(vals) ** d
     if mass_in <= 0:
         raise ValueError("half ball resolves no full cells; raise the level")
     inf_u, _ = extrema_over_subball(region, sol, half)

@@ -66,11 +66,15 @@ class WeightVector:
 
 
 def cell_measure(w: WeightVector, word: str) -> Fraction:
+    """mu(K_w) = w0^a w2^(L-a), with a the number of digits of w in {0,1}."""
     check_word(word)
-    mu = Fraction(1)
-    for d in word:
-        mu *= w.digit(d)
-    return mu
+    a = word.count("0") + word.count("1")
+    return w.w0**a * w.w2 ** (len(word) - a)
+
+
+def cell_measure_table(w: WeightVector, level: int) -> list[Fraction]:
+    """Measures of the level-`level` cells, indexed by their digits in {0,1}."""
+    return [cell_measure(w, "0" * a + "2" * (level - a)) for a in range(level + 1)]
 
 
 @dataclass(frozen=True)
@@ -339,22 +343,32 @@ def integrate_pw_harmonic(
 # measures of metric balls
 
 
-def classify_region_cells(region: BallRegion):
-    """Split the region's level cells into inside / straddling the open ball."""
+# farthest distance from F_w(q1), F_w(q2), F_w(q3) to a point of K_w, in units of s_w
+_CORNER_REACH = (1, 2, 2)
+
+
+def classify_region_cells(region: BallRegion, radius: Optional[Fraction] = None):
+    """Split the region's level cells into inside / straddling the open ball.
+
+    The ball has the region's center and radius, or `radius` if given.
+    Returns two ascending lists of cell indices into the graph's words.
+    """
     graph = region.graph
     scale = Fraction(1, 2**graph.level)  # metric scale of a level cell at s0 = 1/2
     if graph.s0 != Fraction(1, 2):
         raise ValueError("cell classification assumes s0 = 1/2")
-    r = region.radius
-    dist = region.distances
+    r = region.radius if radius is None else Fraction(radius)
+    # a cell lies inside when some corner's distance plus its reach is below r
+    r1, r2, r3 = (r - reach * scale for reach in _CORNER_REACH)
+    dist = region.dist
     inside, straddle = [], []
-    for word in graph.words:
-        ds = [dist[canonicalize(word, j)] for j in (1, 2, 3)]
-        dmax = min(ds[0] + scale, ds[1] + 2 * scale, ds[2] + 2 * scale)
-        if dmax < r:
-            inside.append(word)
-        elif min(ds) < r:
-            straddle.append(word)
+    it = iter(graph.corners)
+    for k, (q1, q2, q3) in enumerate(zip(it, it, it)):
+        d1, d2, d3 = dist[q1], dist[q2], dist[q3]
+        if d1 < r1 or d2 < r2 or d3 < r3:
+            inside.append(k)
+        elif d1 < r or d2 < r or d3 < r:
+            straddle.append(k)
     return inside, straddle
 
 
@@ -363,8 +377,9 @@ def ball_measure(w: WeightVector, region: BallRegion) -> IntegralBounds:
     if region.radius >= 2:
         return IntegralBounds(Fraction(1), Fraction(1))
     inside, straddle = classify_region_cells(region)
-    lo = sum((cell_measure(w, word) for word in inside), Fraction(0))
-    hi = lo + sum((cell_measure(w, word) for word in straddle), Fraction(0))
+    mu, digits = cell_measure_table(w, region.level), region.graph.s0_digits
+    lo = sum((mu[digits[k]] for k in inside), Fraction(0))
+    hi = lo + sum((mu[digits[k]] for k in straddle), Fraction(0))
     return IntegralBounds(lo, min(hi, Fraction(1)))
 
 
@@ -394,7 +409,6 @@ def measure_ball_bounds(
         for i in range(4)
         for j in (1, 2, 3)
     }
-    ecc = (Fraction(1), Fraction(2), Fraction(2))
 
     lo = Fraction(0)
     hi = Fraction(0)
@@ -403,7 +417,7 @@ def measure_ball_bounds(
     while stack:
         word, ds, has_center, mu = stack.pop()
         scale = metric.word_scale(word)
-        dmax = min(ds[j] + scale * ecc[j] for j in range(3))
+        dmax = min(ds[j] + scale * _CORNER_REACH[j] for j in range(3))
         if dmax < radius:
             lo += mu
             hi += mu

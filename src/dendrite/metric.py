@@ -82,19 +82,6 @@ class Metric:
         assert best is not None
         return best
 
-    def eccentricity(self, corner: int) -> Fraction:
-        """max distance from q_corner to any point of K (1 from q1, 2 from q2/q3)."""
-        return Fraction(1) if corner == 1 else Fraction(2)
-
-    def cell_min_dist(self, corner_dists) -> Fraction:
-        """min distance from an outside point to the cell, given corner distances."""
-        return min(corner_dists)
-
-    def cell_max_dist(self, corner_dists, cell_scale: Fraction) -> Fraction:
-        """max distance from an outside point to any point of the cell."""
-        d1, d2, d3 = corner_dists
-        return min(d1 + cell_scale, d2 + 2 * cell_scale, d3 + 2 * cell_scale)
-
 
 def _owners(v: Vertex) -> dict[str, Vertex]:
     """Level-1 cells containing v, with v's local normal form in each."""

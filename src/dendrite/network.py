@@ -28,7 +28,12 @@ def _vertex_key(v: Vertex):
 
 @dataclass
 class LevelGraph:
-    """Immutable tree network: vertices, adjacency and exact conductances."""
+    """Immutable tree network: vertices, adjacency and exact conductances.
+
+    Cell k is `words[k]`; its corners F_w(q1), F_w(q2), F_w(q3) are the
+    vertex ids `corners[3k:3k+3]`, and `s0_digits[k]` counts the digits
+    of its word in {0,1}, which fixes its conductance and its measure.
+    """
 
     level: int
     s0: Fraction
@@ -37,6 +42,8 @@ class LevelGraph:
     edges: list[tuple[int, int, Fraction]]
     adj: list[list[tuple[int, Fraction]]]
     words: tuple[str, ...]
+    corners: Sequence[int]
+    s0_digits: bytes
 
     def vertex_id(self, v: Vertex) -> int:
         key = canonicalize(*v)
@@ -44,12 +51,6 @@ class LevelGraph:
             return self.index[key]
         except KeyError:
             raise KeyError(f"vertex {vertex_str(key)} not in graph") from None
-
-    def has_vertex(self, v: Vertex) -> bool:
-        return canonicalize(*v) in self.index
-
-    def degree(self, v: Vertex) -> int:
-        return len(self.adj[self.vertex_id(v)])
 
     def distances_from(self, start: Vertex) -> list[Fraction]:
         """Tree distance (sum of edge resistances) from start to every vertex."""
@@ -81,10 +82,9 @@ class LevelGraph:
 
 
 def word_conductance(word: str, s0: Fraction) -> Fraction:
-    c = Fraction(1)
-    for d in word:
-        c /= s0 if d in "01" else 1 - s0
-    return c
+    """1/s_w = s0^-a (1-s0)^-(L-a), with a the number of digits of w in {0,1}."""
+    a = word.count("0") + word.count("1")
+    return 1 / (s0**a * (1 - s0) ** (len(word) - a))
 
 
 def build_cells_graph(words: Iterable[str], s0: Fraction, level: int) -> LevelGraph:
@@ -105,14 +105,17 @@ def build_cells_graph(words: Iterable[str], s0: Fraction, level: int) -> LevelGr
             vertices.append(v)
         return i
 
-    raw_edges = []
+    # a local import, so that runs that build no network (quadrature,
+    # doubling) do not pay the extension module's 0.2 MB of resident memory
+    from array import array
+
+    raw_corners = array("i")
+    s0_digits = bytearray()
     for w in words:
         if len(w) != level:
             raise ValueError(f"word {w!r} does not have length {level}")
-        c = word_conductance(w, s0)
-        a = vid(w, 1)
-        raw_edges.append((a, vid(w, 2), c))
-        raw_edges.append((a, vid(w, 3), c))
+        s0_digits.append(w.count("0") + w.count("1"))
+        raw_corners.extend((vid(w, 1), vid(w, 2), vid(w, 3)))
 
     # reindex into deterministic vertex order
     order = sorted(range(len(vertices)), key=lambda i: _vertex_key(vertices[i]))
@@ -121,14 +124,20 @@ def build_cells_graph(words: Iterable[str], s0: Fraction, level: int) -> LevelGr
         remap[old] = new
     vertices = [vertices[old] for old in order]
     index = {v: i for i, v in enumerate(vertices)}
-    edges = sorted(
-        (min(remap[a], remap[b]), max(remap[a], remap[b]), c) for a, b, c in raw_edges
-    )
+    corners = array("i", map(remap.__getitem__, raw_corners))
+    # cells with a digits in {0,1} share one conductance
+    cond = [word_conductance("0" * a + "2" * (level - a), s0) for a in range(level + 1)]
+    edges = []
+    it = iter(corners)
+    for a, q1, q2, q3 in zip(s0_digits, it, it, it):
+        edges.append((min(q1, q2), max(q1, q2), cond[a]))
+        edges.append((min(q1, q3), max(q1, q3), cond[a]))
+    edges.sort()
     adj: list[list[tuple[int, Fraction]]] = [[] for _ in vertices]
     for i, j, c in edges:
         adj[i].append((j, c))
         adj[j].append((i, c))
-    return LevelGraph(level, s0, vertices, index, edges, adj, words)
+    return LevelGraph(level, s0, vertices, index, edges, adj, words, corners, bytes(s0_digits))
 
 
 def build_level_graph(
@@ -184,6 +193,7 @@ class BallRegion:
     interior: frozenset[Vertex]
     frontier: frozenset[Vertex]
     distances: dict[Vertex, Fraction]
+    dist: list[Fraction]  # the same distances, indexed by vertex id
     cut_edges: list[tuple[Vertex, Vertex, Fraction]]  # (inside, outside, crossing fraction)
     upper_boundary: Optional[frozenset[Vertex]] = None
     lower_boundary: Optional[frozenset[Vertex]] = None
@@ -226,6 +236,7 @@ def ball(graph: LevelGraph, center: Vertex, radius: Fraction) -> BallRegion:
         interior=frozenset(interior),
         frontier=frozenset(frontier),
         distances={graph.vertices[i]: d for i, d in enumerate(dist)},
+        dist=dist,
         cut_edges=sorted(cut_edges, key=lambda e: (_vertex_key(e[0]), _vertex_key(e[1]))),
         upper_boundary=upper,
         lower_boundary=lower,

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from dendrite.addressing import canonicalize
+from dendrite.addressing import canonicalize, words_of_length
 from dendrite.closed_forms import u_down, u_minus, u_up
 from dendrite.measure import (
     HarmonicIntegrator,
@@ -10,6 +10,8 @@ from dendrite.measure import (
     WeightVector,
     ball_measure,
     cell_measure,
+    cell_measure_table,
+    classify_region_cells,
     doubling_ratio,
     harmonic_weights,
     integrate_closed,
@@ -149,3 +151,45 @@ def test_doubling_lattice_cap():
 def test_integral_bounds_validation():
     with pytest.raises(ValueError):
         IntegralBounds(Fraction(2), Fraction(1))
+
+
+def _product_measure(w, word):
+    """Oracle: mu(K_w) multiplied out digit by digit."""
+    mu = Fraction(1)
+    for d in word:
+        mu *= w.digit(d)
+    return mu
+
+
+@pytest.mark.parametrize("weights", ["1/4,1/4", "1/10,2/5", "1/6,1/3"])
+def test_cell_measure_matches_product(weights):
+    w = WeightVector.parse(weights)
+    for length in range(7):
+        table = cell_measure_table(w, length)
+        for word in words_of_length(length):
+            mu = _product_measure(w, word)
+            assert cell_measure(w, word) == mu
+            assert table[sum(d in "01" for d in word)] == mu
+
+
+def test_cell_measure_rejects_invalid_word():
+    with pytest.raises(ValueError):
+        cell_measure(EQUAL, "04")
+
+
+def test_classify_region_cells_matches_corner_bound():
+    """Oracle: the cell distance bound over canonicalised corners, word by word."""
+    region = ball(ball_graph(2, 6), Q0, Fraction(1, 4))
+    g = region.graph
+    scale = Fraction(1, 2**g.level)
+    for radius in (None, Fraction(1, 8), Fraction(3, 32)):
+        r = region.radius if radius is None else radius
+        inside, straddle = [], []
+        for k, word in enumerate(g.words):
+            ds = [region.distances[canonicalize(word, j)] for j in (1, 2, 3)]
+            if min(ds[0] + scale, ds[1] + 2 * scale, ds[2] + 2 * scale) < r:
+                inside.append(k)
+            elif min(ds) < r:
+                straddle.append(k)
+        assert inside and straddle
+        assert classify_region_cells(region, radius=radius) == (inside, straddle)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from dendrite.addressing import canonicalize, in_cell
+from dendrite.addressing import canonicalize, in_cell, words_of_length
 from dendrite.metric import Metric
 from dendrite.network import (
     CapacityError,
@@ -12,6 +12,7 @@ from dendrite.network import (
     build_level_graph,
     resistance_distance,
     schur_trace,
+    word_conductance,
 )
 
 HALF = Fraction(1, 2)
@@ -154,3 +155,33 @@ def test_export_json_round_trip():
     assert data["s0"] == "1/3"
     assert len(data["vertices"]) == 9
     assert len(data["edges"]) == 8
+
+
+def _product_conductance(word, s0):
+    """Oracle: 1/s_w multiplied out digit by digit."""
+    c = Fraction(1)
+    for d in word:
+        c /= s0 if d in "01" else 1 - s0
+    return c
+
+
+@pytest.mark.parametrize("s0", [HALF, Fraction(1, 3), Fraction(2, 5)])
+def test_word_conductance_matches_product(s0):
+    for length in range(7):
+        for word in words_of_length(length):
+            assert word_conductance(word, s0) == _product_conductance(word, s0)
+
+
+def test_recorded_corners_and_cell_conductances():
+    graphs = [build_level_graph(level, s0) for level in range(6) for s0 in (HALF, Fraction(2, 5))]
+    graphs += [ball_graph(n, n + 4) for n in (1, 2, 3)]
+    for g in graphs:
+        assert len(g.corners) == 3 * len(g.words) == 3 * len(g.s0_digits)
+        conductance = {(i, j): c for i, j, c in g.edges}
+        for k, word in enumerate(g.words):
+            q1, q2, q3 = g.corners[3 * k : 3 * k + 3]
+            assert [g.vertices[q] for q in (q1, q2, q3)] == [canonicalize(word, j) for j in (1, 2, 3)]
+            assert g.s0_digits[k] == sum(d in "01" for d in word)
+            c = _product_conductance(word, g.s0)
+            assert conductance[min(q1, q2), max(q1, q2)] == c
+            assert conductance[min(q1, q3), max(q1, q3)] == c

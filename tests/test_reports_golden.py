@@ -1,0 +1,39 @@
+"""Byte-identity gate for CLI reports of the ball experiments.
+
+Each command runs in process through `cli.main` with stdout captured,
+and the report's sha256 must equal the digest recorded here.  The
+digests were recorded from commit be9b6fe, before conductances and cell
+measures came from digit-count tables and before cells kept their corner
+vertex ids, so a refactor of those paths that moves one bit of a report
+fails here.  Together the four reports cover the float cell sums of
+`weh_ratio`, the lumped masses of the exit-time solve, the extrema of
+`ehi` and the exact ball-measure bounds.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from dendrite import cli
+
+GOLDEN = {
+    "--weights 1/10,2/5 exit-ratio --n 2..3 --level-offset 4":
+        "441478dcdb59113864bc24002dbd3d6fae00de0e5b18dc9e28f16ab00a688b9a",
+    "weh --rho 1/2,2 --n 2..3":
+        "f5ada2d3aeb93277a7261d4dfbd6fc9a1bb44c222df0308ce8c9ff5c7322f9bb",
+    "ehi --n 2..3":
+        "6012710199fe98e27e99c9bbbf810c559acbe0f26d557641881caaa31c7984ef",
+    "ball --n 2 --level 7":
+        "e660a7fef4c1993bb28d54b8b83f6a9747053b49994c1ba5b7fd74578c63af6f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_report_is_byte_identical(command):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(command.split())
+    assert code == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN[command]
