@@ -114,8 +114,12 @@ def _check_level(level: int, cfg: RunConfig):
 def _parse_range(text: str) -> list[int]:
     if ".." in text:
         a, b = text.split("..")
-        return list(range(int(a), int(b) + 1))
-    return [int(x) for x in text.split(",")]
+        values = list(range(int(a), int(b) + 1))
+    else:
+        values = [int(x) for x in text.split(",")]
+    if not values:
+        raise ValueError(f"range {text!r} is empty")
+    return values
 
 
 def _write_report(path, cfg: RunConfig, header: list[str], rows: list[list]) -> str:

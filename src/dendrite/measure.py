@@ -392,9 +392,25 @@ def measure_ball_bounds(
 ) -> IntegralBounds:
     """Certified mu-bounds of the open ball B(center, radius), any lattice center.
 
-    Descends the cell hierarchy; corner distances propagate through entry
-    corners for cells away from the center and are computed exactly along
-    the center's own cell chain.
+    Descends the cell hierarchy down to `max_depth`.  A cell counts as
+    inside when some corner's distance plus its reach (`_CORNER_REACH`
+    times the cell's scale) is below the radius; it is dropped when all
+    three corners are at least the radius away and it does not hold the
+    center; a straddling cell at `max_depth` counts for the upper bound
+    only.  Corner distances are computed exactly with `metric.dist` along
+    the center's own cell chain and propagate through the parent's
+    corners everywhere else.
+
+    The loop runs in integers.  With s0 = p/q, every distance and scale
+    is expressed in the unit 1/U, U = q^(D+2) * den(radius), where D is
+    the larger of `max_depth` and the length of the center's word.  Each
+    `Fraction` distance is converted with `divmod`, and a nonzero
+    remainder raises `ArithmeticError`: the conversion is exact or
+    refused, so every comparison equals the rational one.  A child's
+    scale is its parent's divided by q, times p or q - p.  Inside cells are
+    counted in a table indexed by (depth, a), with a the cell's number of
+    digits in {0,1}, and depth-capped cells, all at `max_depth`, by a;
+    the counts are weighed once at the end with `cell_measure_table`.
     """
     radius = Fraction(radius)
     if radius <= 0:
@@ -403,45 +419,64 @@ def measure_ball_bounds(
     center = canonicalize(*center)
     if radius >= 2:
         return IntegralBounds(Fraction(1), Fraction(1))
-    # local positions of child corners relative to parent corners
-    table = {
-        (i, j): tuple(metric.dist(("", k), (str(i), j)) for k in (1, 2, 3))
+    p, q = metric.s0.numerator, metric.s0.denominator
+    unit = q ** (max(max_depth, len(center[0]), 0) + 2) * radius.denominator
+
+    def units(d: Fraction, per_unit: int = unit) -> int:
+        n, rem = divmod(d.numerator * per_unit, d.denominator)
+        if rem:
+            raise ArithmeticError(f"distance {d} is not a multiple of 1/{per_unit}")
+        return n
+
+    def center_dists(word: str) -> tuple[int, int, int]:
+        return tuple(units(metric.dist(center, (word, j))) for j in (1, 2, 3))
+
+    # per child digit: its count of digits in {0,1}, its scale over the
+    # parent's scale / q, and the distances from the parent's corners k to
+    # its corners j in that unit (the unit cell's 4 x 3 x 3 local distances)
+    digits = [
+        (str(i), int(i < 2), p if i < 2 else q - p,
+         [[units(metric.dist(("", k), (str(i), j)), q) for k in (1, 2, 3)] for j in (1, 2, 3)])
         for i in range(4)
-        for j in (1, 2, 3)
-    }
+    ]
+    r = units(radius)
+    reach1, reach2, reach3 = _CORNER_REACH
+    top = max(max_depth, 0)
+    inside = [[0] * (depth + 1) for depth in range(top + 1)]
+    capped = [0] * (top + 1)  # every depth-capped cell lies at depth `top`
+    # a cell keeps its word only while it holds the center; else it is None
+    stack = [("", 0, 0, unit, *center_dists(""))]
+    while stack:
+        word, depth, a, scale, d1, d2, d3 = stack.pop()
+        if d1 + reach1 * scale < r or d2 + reach2 * scale < r or d3 + reach3 * scale < r:
+            inside[depth][a] += 1
+            continue
+        if word is None and d1 >= r and d2 >= r and d3 >= r:
+            continue
+        if depth >= max_depth:
+            capped[a] += 1
+            continue
+        step = scale // q
+        for digit, da, factor, ((t11, t12, t13), (t21, t22, t23), (t31, t32, t33)) in digits:
+            if word is None:
+                stack.append((
+                    None, depth + 1, a + da, step * factor,
+                    min(d1 + step * t11, d2 + step * t12, d3 + step * t13),
+                    min(d1 + step * t21, d2 + step * t22, d3 + step * t23),
+                    min(d1 + step * t31, d2 + step * t32, d3 + step * t33),
+                ))
+            else:
+                child = word + digit
+                stack.append((
+                    child if in_cell(center, child) else None, depth + 1, a + da, step * factor,
+                    *center_dists(child),
+                ))
 
     lo = Fraction(0)
-    hi = Fraction(0)
-    root = tuple(metric.dist(center, ("", j)) for j in (1, 2, 3))
-    stack = [("", root, True, Fraction(1))]
-    while stack:
-        word, ds, has_center, mu = stack.pop()
-        scale = metric.word_scale(word)
-        dmax = min(ds[j] + scale * _CORNER_REACH[j] for j in range(3))
-        if dmax < radius:
-            lo += mu
-            hi += mu
-            continue
-        if min(ds) >= radius and not has_center:
-            continue
-        if len(word) >= max_depth:
-            hi += mu
-            continue
-        for i in range(4):
-            child = word + str(i)
-            child_mu = mu * w.digit(str(i))
-            if has_center:
-                child_ds = tuple(
-                    metric.dist(center, canonicalize(child, j)) for j in (1, 2, 3)
-                )
-                child_has = in_cell(center, child)
-            else:
-                child_ds = tuple(
-                    min(ds[k] + scale * table[(i, j)][k] for k in range(3))
-                    for j in (1, 2, 3)
-                )
-                child_has = False
-            stack.append((child, child_ds, child_has, child_mu))
+    for depth, counts in enumerate(inside):
+        if any(counts):
+            lo += sum(n * m for n, m in zip(counts, cell_measure_table(w, depth)))
+    hi = lo + sum(n * m for n, m in zip(capped, cell_measure_table(w, top)))
     return IntegralBounds(lo, min(hi, Fraction(1)))
 
 

@@ -34,12 +34,6 @@ class Metric:
             frozenset({("", 2), ("", 3)}): Fraction(2),
         }
 
-    def word_scale(self, word: str) -> Fraction:
-        s = Fraction(1)
-        for d in word:
-            s *= self.scale[d]
-        return s
-
     def dist(self, u: Vertex, v: Vertex) -> Fraction:
         u = canonicalize(*u)
         v = canonicalize(*v)

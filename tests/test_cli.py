@@ -36,6 +36,14 @@ def test_validation_error_exit_code():
     assert out.returncode == 3
 
 
+def test_empty_range_is_a_validation_error():
+    for command in ("doubling", "exit-ratio"):
+        out = run_cli(command, "--n", "3..2")
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert out.stderr.splitlines() == ["error: range '3..2' is empty"]
+
+
 def test_capacity_error_exit_code():
     out = run_cli("exit-ratio", "--n", "4..5", env={"DENDRITE_MAX_LEVEL": "6"})
     assert out.returncode == 4

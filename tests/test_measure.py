@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from dendrite.addressing import canonicalize, words_of_length
+from dendrite.addressing import canonicalize, parse_vertex, words_of_length
 from dendrite.closed_forms import u_down, u_minus, u_up
 from dendrite.measure import (
     HarmonicIntegrator,
@@ -193,3 +195,40 @@ def test_classify_region_cells_matches_corner_bound():
                 straddle.append(k)
         assert inside and straddle
         assert classify_region_cells(region, radius=radius) == (inside, straddle)
+
+
+def test_measure_ball_bounds_match_recorded_values():
+    """Exact (lower, upper) pairs recorded at commit 8fcf9a2, before the
+    descent moved to integer arithmetic.
+
+    The cases cover the quadrature workload's doubling grid (four weights,
+    y_n for n = 2..6, radii 2^-n and 2^(1-n), depth 12), s0 in {1/3, 2/5,
+    3/4} with non-dyadic radii at depth 8, a centre word longer than
+    max_depth, and the radius >= 2 shortcut.
+    """
+    path = Path(__file__).with_name("measure_ball_bounds_golden.json")
+    cases = json.loads(path.read_text())
+    metrics = {}
+    wrong = []
+    for case in cases:
+        s0 = Fraction(case["s0"])
+        metric = metrics.setdefault(s0, Metric(s0))
+        b = measure_ball_bounds(
+            parse_vertex(case["center"]), Fraction(case["radius"]),
+            WeightVector.parse(case["weights"]), max_depth=case["depth"], metric=metric,
+        )
+        if (b.lower, b.upper) != (Fraction(case["lower"]), Fraction(case["upper"])):
+            wrong.append((case, str(b.lower), str(b.upper)))
+    assert len(cases) == 84
+    assert not wrong
+
+
+def test_measure_ball_bounds_refuses_inexact_distances():
+    """A distance that is not a multiple of the integer unit raises, never rounds."""
+
+    class OffByAnEleventh(Metric):
+        def dist(self, u, v):
+            return super().dist(u, v) + Fraction(1, 11)
+
+    with pytest.raises(ArithmeticError):
+        measure_ball_bounds(Q0, Fraction(1, 4), EQUAL, max_depth=3, metric=OffByAnEleventh(HALF))

@@ -1,13 +1,17 @@
-"""Byte-identity gate for CLI reports of the ball experiments.
+"""Byte-identity gate for CLI reports of the ball and doubling experiments.
 
 Each command runs in process through `cli.main` with stdout captured,
-and the report's sha256 must equal the digest recorded here.  The
-digests were recorded from commit be9b6fe, before conductances and cell
-measures came from digit-count tables and before cells kept their corner
-vertex ids, so a refactor of those paths that moves one bit of a report
-fails here.  Together the four reports cover the float cell sums of
+and the report's sha256 must equal the digest recorded here.  The four
+ball-experiment digests were recorded from commit be9b6fe, before
+conductances and cell measures came from digit-count tables and before
+cells kept their corner vertex ids.  The two `doubling` digests were
+recorded from commit 8fcf9a2, before `measure_ball_bounds` descended in
+integer arithmetic.  A refactor of those paths that moves one bit of a
+report fails here.  Together the reports cover the float cell sums of
 `weh_ratio`, the lumped masses of the exit-time solve, the extrema of
-`ehi` and the exact ball-measure bounds.
+`ehi`, the exact ball-measure bounds of a level network, and the exact
+doubling bounds of `measure_ball_bounds` at s0 = 1/2 and at s0 = 1/3
+with a radius that is not dyadic.
 """
 
 import contextlib
@@ -27,6 +31,10 @@ GOLDEN = {
         "6012710199fe98e27e99c9bbbf810c559acbe0f26d557641881caaa31c7984ef",
     "ball --n 2 --level 7":
         "e660a7fef4c1993bb28d54b8b83f6a9747053b49994c1ba5b7fd74578c63af6f",
+    "doubling --n 2..4":
+        "e4e36b8950ed27bdd6c79dca63f5a74dd517320d980c0a2a44274798b159634a",
+    "--s0 1/3 doubling --n 2..3 --radius 3/7":
+        "6b08452a6078c0c289649646f2d7dd540e18fe438d73bb78b9c9ac4f8af8043d",
 }
 
 
