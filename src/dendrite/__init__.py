@@ -46,6 +46,7 @@ from .network import (
     BallRegion,
     CapacityError,
     LevelGraph,
+    Network,
     ball,
     ball_graph,
     build_level_graph,

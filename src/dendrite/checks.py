@@ -9,6 +9,9 @@ the code paths they validate.
 from __future__ import annotations
 
 import random
+import sys
+import time
+import traceback
 from fractions import Fraction
 
 from . import addressing, closed_forms, dirichlet, exit_time, harnack, measure, reduction
@@ -204,7 +207,7 @@ def check_maximum_principle(seed: int = 11):
         pins = {rng.choice(verts): Fraction(rng.randint(-5, 5)) for _ in range(4)}
         sol = solve_dirichlet(g, pins)
         lo, hi = min(pins.values()), max(pins.values())
-        for v, val in sol.values.items():
+        for val in sol.values:
             if not lo <= val <= hi:
                 return False, f"value {val} outside [{lo},{hi}]"
     return True, "solution range bounded by pinned range on 12 random problems"
@@ -215,9 +218,9 @@ def check_cell_maximum_principle():
     sol = solve_dirichlet(g, {Q1: 1, Q2: Fraction(1, 3), Q3: 0})
     for word in ("0", "2", "31", "123"):
         cell_vals = [
-            val for v, val in sol.values.items() if addressing.in_cell(v, word)
+            val for v, val in zip(g.vertices, sol.values) if addressing.in_cell(v, word)
         ]
-        corners = [sol.values[canonicalize(word, j)] for j in (1, 2, 3)]
+        corners = [sol[(word, j)] for j in (1, 2, 3)]
         if max(cell_vals) != max(corners) or min(cell_vals) != min(corners):
             return False, f"cell {word!r} extremum not at a corner"
     return True, "harmonic cell extrema live on cell corners"
@@ -231,8 +234,8 @@ def check_energy_optimality(seed: int = 3):
     free = [v for v in g.vertices if v not in ((Q1), (Q2), (Q3))]
     for _ in range(10):
         v = rng.choice(free)
-        bumped = dict(sol.values)
-        bumped[v] += Fraction(rng.randint(1, 9), 100)
+        bumped = list(sol.values)
+        bumped[g.vertex_id(v)] += Fraction(rng.randint(1, 9), 100)
         pert = dirichlet.VertexFunction(g, bumped, "exact")
         if dirichlet_energy(g, pert) <= base:
             return False, f"perturbation at {v} did not increase energy"
@@ -245,7 +248,7 @@ def check_level_compatibility():
     for level in (1, 2, 3):
         g = build_level_graph(level)
         sol = solve_dirichlet(g, pins)
-        trace = {v: sol.values[v] for v in build_level_graph(1).vertices}
+        trace = {v: sol[v] for v in build_level_graph(1).vertices}
         if base is None:
             base = trace
         elif trace != base:
@@ -271,7 +274,7 @@ def check_green_identity(tol: float = 0.05):
     region, g1 = exit_time.exit_time_profile(n, w, level, graph=g, mode="float")
     for x in (Q0, canonicalize("02", 1), canonicalize("22", 1)):
         bounds = exit_time.g1_via_identity(x, n, w, level, graph=g)
-        direct = float(g1.values[x])
+        direct = float(g1[x])
         lo, hi = float(bounds.lower), float(bounds.upper)
         if not (lo * (1 - tol) <= direct <= hi * (1 + tol)):
             return False, f"direct Green value escapes identity bounds at {vertex_str(x)}"
@@ -289,7 +292,7 @@ def check_green_symmetry(seed: int = 2):
         x, y = rng.choice(interior), rng.choice(interior)
         gx = green_g1(g, region, {x: 1}, mode="exact")
         gy = green_g1(g, region, {y: 1}, mode="exact")
-        if gx.values[y] != gy.values[x]:
+        if gx[y] != gy[x]:
             return False, f"Green matrix asymmetric at {x},{y}"
     return True, "sampled Green matrix entries are symmetric"
 
@@ -315,14 +318,14 @@ def check_closed_vs_discrete():
         v for v in g.vertices if v[1] in (2, 3) and all(ch in "23" for ch in v[0])
     ]
     sol = solve_dirichlet(g, {Q1: 1, **{v: 0 for v in region_ground}})
-    lam4 = sol.values[Q0]
+    lam4 = sol[Q0]
     if not Fraction(1, 4) < lam4 <= Fraction(1, 3):
         return False, "discrete decay value out of its bracket"
     spec = u_minus(HALF, Fraction(1, 3), 1, Fraction(-2, 7))
     pins = {Q1: 1, Q2: Fraction(1, 3), Q3: Fraction(-2, 7)}
     sol2 = solve_dirichlet(g, pins)
-    for v in g.vertices:
-        if closed_forms.eval_closed(spec, v) != sol2.values[v]:
+    for v, val in zip(g.vertices, sol2.values):
+        if closed_forms.eval_closed(spec, v) != val:
             return False, f"V0 extension disagrees with the solve at {vertex_str(v)}"
     if closed_forms.energy_closed(spec) != dirichlet_energy(g, sol2):
         return False, "V0 extension energy mismatch"
@@ -636,8 +639,8 @@ def check_superposition():
     _, s1 = boundary_harmonic(n, p1, level, graph=g, mode="exact")
     _, s2 = boundary_harmonic(n, p2, level, graph=g, mode="exact")
     _, sm = boundary_harmonic(n, mix, level, graph=g, mode="exact")
-    for v in g.vertices:
-        if sm.values[v] != Fraction(2, 3) * s1.values[v] + 5 * s2.values[v]:
+    for v, a, b, mixed in zip(g.vertices, s1.values, s2.values, sm.values):
+        if mixed != Fraction(2, 3) * a + 5 * b:
             return False, f"superposition fails at {vertex_str(v)}"
     return True, "mixture solve equals the coefficient combination exactly"
 
@@ -658,7 +661,7 @@ def check_decomposition():
     apex = canonicalize("0" + "2" * (n - 1), 1)
     psi_apex, _ = equilibrium_potential(g, apex, region.frontier - {apex}, mode="exact")
     for v in sorted(region.interior):
-        total = s_up.values[v] + s_low.values[v] + psi_apex.values[v]
+        total = s_up[v] + s_low[v] + psi_apex[v]
         if total != 1:
             return False, f"u' + u'' + apex part != 1 at {vertex_str(v)}"
     return True, "boundary split into upper/lower pieces plus apex sums to one inside"
@@ -764,8 +767,10 @@ SUITES = {
 
 
 def run_suite(name: str = "all", verbose: bool = True) -> bool:
-    import time
+    """Run one suite's checks, or all of them.
 
+    A crashed check counts as failed; its traceback goes to stderr.
+    """
     if name == "all":
         names = list(SUITES)
     elif name in SUITES:
@@ -780,6 +785,8 @@ def run_suite(name: str = "all", verbose: bool = True) -> bool:
                 ok, detail = fn()
             except Exception as exc:  # a crashed check is a failed check
                 ok, detail = False, f"exception: {exc!r}"
+                print(f"{suite}/{label} crashed:", file=sys.stderr)
+                traceback.print_exc(file=sys.stderr)
             ok_all &= ok
             if verbose:
                 status = "PASS" if ok else "FAIL"

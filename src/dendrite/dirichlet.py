@@ -17,26 +17,25 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .addressing import Vertex, canonicalize, vertex_str
-from .network import BallRegion, LevelGraph
+from .network import BallRegion, Network
 
 
 @dataclass
 class VertexFunction:
-    """Values on every vertex of a level graph."""
+    """Values on every vertex of a network, indexed by vertex id."""
 
-    graph: LevelGraph
-    values: dict[Vertex, object]
+    graph: Network
+    values: list
     mode: str = "exact"
 
     def __getitem__(self, v: Vertex):
-        return self.values[canonicalize(*v)]
+        return self.values[self.graph.vertex_id(v)]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["vertex", "value_exact", "value_float"])
-        for v in self.graph.vertices:
-            val = self.values[v]
+        for v, val in zip(self.graph.vertices, self.values):
             exact = str(val) if isinstance(val, Fraction) else ""
             writer.writerow([vertex_str(v), exact, repr(float(val))])
         return buf.getvalue()
@@ -47,7 +46,7 @@ def _as_mode(x, mode: str):
 
 
 def solve_dirichlet(
-    graph: LevelGraph,
+    graph: Network,
     pinned: Mapping[Vertex, object],
     masses: Optional[Mapping[Vertex, object]] = None,
     mode: str = "exact",
@@ -144,15 +143,15 @@ def solve_dirichlet(
             # equals the parent's 1 * x + 0: a free parent's value comes
             # from beta, whose sums start at +0, so it is never -0.0
             values[i] = values[p]
-    return VertexFunction(graph, {graph.vertices[i]: values[i] for i in range(n)}, mode)
+    return VertexFunction(graph, values, mode)
 
 
-def dirichlet_energy(graph: LevelGraph, f: VertexFunction):
+def dirichlet_energy(graph: Network, f: VertexFunction):
     """Sum over edges of conductance times squared increment."""
     total = Fraction(0) if f.mode == "exact" else 0.0
-    values, vertices = f.values, graph.vertices
+    values = f.values
     for i, j, c in graph.edges:
-        a, b = values[vertices[i]], values[vertices[j]]
+        a, b = values[i], values[j]
         if a == b:
             continue
         du = a - b
@@ -161,7 +160,7 @@ def dirichlet_energy(graph: LevelGraph, f: VertexFunction):
     return total
 
 
-def effective_resistance(graph: LevelGraph, a, b, mode: str = "exact"):
+def effective_resistance(graph: Network, a, b, mode: str = "exact"):
     """1 / inf{ E(u) : u = 0 on A, u = 1 on B }."""
     a = {canonicalize(*v) for v in a}
     b = {canonicalize(*v) for v in b}
@@ -176,7 +175,7 @@ def effective_resistance(graph: LevelGraph, a, b, mode: str = "exact"):
     return 1 / e if mode == "exact" else 1.0 / e
 
 
-def equilibrium_potential(graph: LevelGraph, x: Vertex, grounded, mode: str = "exact"):
+def equilibrium_potential(graph: Network, x: Vertex, grounded, mode: str = "exact"):
     """Unit potential at x, zero on the grounded set; returns (psi, R)."""
     x = canonicalize(*x)
     grounded = {canonicalize(*v) for v in grounded}
@@ -190,7 +189,7 @@ def equilibrium_potential(graph: LevelGraph, x: Vertex, grounded, mode: str = "e
 
 
 def green_g1(
-    graph: LevelGraph,
+    graph: Network,
     region: BallRegion,
     masses: Mapping[Vertex, object],
     mode: str = "exact",
@@ -198,7 +197,7 @@ def green_g1(
     """Discrete Green problem on a ball: zero on the frontier, Laplacian = mass inside."""
     interior = region.interior
     for v in masses:
-        if canonicalize(*v) not in interior:
+        if v not in interior and canonicalize(*v) not in interior:
             raise ValueError(f"mass on non-interior vertex {vertex_str(v)}")
     pinned = {v: 0 for v in region.frontier}
     if not pinned:

@@ -253,7 +253,7 @@ def g1_via_identity(
     exact = Fraction(0)
     for k in inside + straddle:
         mu = table[graph.s0_digits[k]]
-        vals = [psi.values[graph.vertices[graph.corners[3 * k + j]]] for j in range(3)]
+        vals = [psi.values[graph.corners[3 * k + j]] for j in range(3)]
         lo += mu * min(vals)
         hi += mu * max(vals)
         exact += mu * sum(p[j] * vals[j] for j in range(3))
@@ -305,9 +305,8 @@ def exit_ratio_experiment(
             raise CapacityError(f"level {level} exceeds maximum {max_level}")
         region, g1 = exit_time_profile(n, w, level)
         core_radius = Fraction(1, 2**n) * Fraction(1, 4**n)
-        core = [v for v in region.interior if region.distances[v] < core_radius]
-        inf_core = min(float(g1.values[v]) for v in core)
-        sup_ball = max(float(g1.values[v]) for v in region.interior)
+        inf_core = min(float(x) for x, d in zip(g1.values, region.dist) if d < core_radius)
+        sup_ball = max(float(x) for x, d in zip(g1.values, region.dist) if d < region.radius)
         rows.append(ExitRatioRow(n, level, inf_core, sup_ball, inf_core / sup_ball))
     if len(rows) < 2:
         return rows, math.nan, math.nan

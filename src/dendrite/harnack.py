@@ -17,7 +17,7 @@ from .addressing import Vertex, canonicalize
 from .dirichlet import VertexFunction, solve_dirichlet
 from .exit_time import fit_log2_slope
 from .measure import WeightVector, cell_measure_table, classify_region_cells
-from .network import BallRegion, LevelGraph, ball, ball_graph
+from .network import BallRegion, LevelGraph, ball, ball_graph, radius_crossings
 from .reduction import x_point_word
 
 Q0: Vertex = ("2", 1)
@@ -120,25 +120,17 @@ def extrema_over_subball(
 ) -> tuple[float, float]:
     """Extrema of a vertex function over B(q0, radius), cut edges interpolated."""
     dist = region.dist
-    graph = region.graph
     vals = values.values
     lo = hi = None
-    for v, d in zip(graph.vertices, dist):
+    for val, d in zip(vals, dist):
         if d < radius:
-            x = float(vals[v])
+            x = float(val)
             lo = x if lo is None or x < lo else lo
             hi = x if hi is None or x > hi else hi
     if lo is None:
         raise ValueError("sub-ball contains no vertices at this level")
-    for i, j, c in graph.edges:
-        du, dv = dist[i], dist[j]
-        if (du < radius) == (dv < radius):
-            continue
-        u, v = graph.vertices[i], graph.vertices[j]
-        if du > dv:
-            u, v, du, dv = v, u, dv, du
-        t = float((radius - du) * c)  # crossing fraction along the edge
-        x = float(vals[u]) + t * (float(vals[v]) - float(vals[u]))
+    for i, j, t in radius_crossings(region.graph, dist, radius):
+        x = float(vals[i]) + float(t) * (float(vals[j]) - float(vals[i]))
         lo, hi = min(lo, x), max(hi, x)
     return lo, hi
 
@@ -213,13 +205,13 @@ def weh_ratio(
     inside, straddle = classify_region_cells(region, radius=half)
     full = set(inside)
     mu = [float(m) for m in cell_measure_table(w, graph.level)]
-    vertices, corners = graph.vertices, graph.corners
+    values, corners = sol.values, graph.corners
     d = float(delta)
     num_lo = num_hi = 0.0
     mass_in = mass_all = 0.0
     for k in sorted(inside + straddle):  # the float sums run in word order
         m = mu[graph.s0_digits[k]]
-        vals = [float(sol.values[vertices[corners[3 * k + j]]]) for j in range(3)]
+        vals = [float(values[corners[3 * k + j]]) for j in range(3)]
         mass_all += m
         num_hi += m * max(vals) ** d
         if k in full:

@@ -3,13 +3,15 @@
 Every word w of length L contributes the two edges F_w(q1)-F_w(q2) and
 F_w(q1)-F_w(q3) with conductance 1/s_w.  The resulting graph is a tree;
 vertex identity comes from the addressing normal form, so all network
-reductions and solves are exact in rational arithmetic.
+reductions and solves are exact in rational arithmetic.  `Network` is
+the one network type: the level graphs, their Schur traces and the
+small reduced networks of `reduction` are all instances of it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -26,47 +28,110 @@ def _vertex_key(v: Vertex):
     return (len(v[0]), v[0], v[1])
 
 
-@dataclass
-class LevelGraph:
-    """Immutable tree network: vertices, adjacency and exact conductances.
+def _adjacency(n: int, edges: Iterable[tuple[int, int, Fraction]]):
+    adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+    for i, j, c in edges:
+        adj[i].append((j, c))
+        adj[j].append((i, c))
+    return adj
 
-    Cell k is `words[k]`; its corners F_w(q1), F_w(q2), F_w(q3) are the
-    vertex ids `corners[3k:3k+3]`, and `s0_digits[k]` counts the digits
-    of its word in {0,1}, which fixes its conductance and its measure.
+
+@dataclass
+class Network:
+    """Conductance network on vertex ids.
+
+    `vertices[i]` is the label of id i and `index` inverts it; `edges`
+    holds sorted (i, j, conductance) triples with i < j, and `adj[i]`
+    the (neighbour, conductance) pairs of i.  Labels are vertices in
+    normal form, or names such as the grounded node "GND".
     """
 
-    level: int
-    s0: Fraction
-    vertices: list[Vertex]
-    index: dict[Vertex, int]
+    vertices: list
+    index: dict
     edges: list[tuple[int, int, Fraction]]
     adj: list[list[tuple[int, Fraction]]]
-    words: tuple[str, ...]
-    corners: Sequence[int]
-    s0_digits: bytes
 
-    def vertex_id(self, v: Vertex) -> int:
-        key = canonicalize(*v)
-        try:
-            return self.index[key]
-        except KeyError:
-            raise KeyError(f"vertex {vertex_str(key)} not in graph") from None
+    @classmethod
+    def from_edges(cls, triples: Iterable[tuple[object, object, Fraction]]) -> Network:
+        """Network of (u, v, conductance) triples; parallel edges are summed.
 
-    def distances_from(self, start: Vertex) -> list[Fraction]:
-        """Tree distance (sum of edge resistances) from start to every vertex."""
+        Ids follow the labels' first appearance.
+        """
+        vertices: list = []
+        index: dict = {}
+        cond: dict[tuple[int, int], Fraction] = {}
+        for u, v, c in triples:
+            if c <= 0:
+                raise ValueError("conductance must be positive")
+            if u == v:
+                raise ValueError("self-loops not allowed")
+            for x in (u, v):
+                if x not in index:
+                    index[x] = len(vertices)
+                    vertices.append(x)
+            i, j = sorted((index[u], index[v]))
+            cond[i, j] = cond.get((i, j), Fraction(0)) + Fraction(c)
+        edges = sorted((i, j, c) for (i, j), c in cond.items())
+        return cls(vertices, index, edges, _adjacency(len(vertices), edges))
+
+    def vertex_id(self, v) -> int:
+        """Id of a label; a vertex not found as given is looked up in normal form."""
+        i = self.index.get(v)
+        if i is None:
+            if not isinstance(v, tuple):
+                raise KeyError(f"label {v!r} not in network")
+            key = canonicalize(*v)
+            i = self.index.get(key)
+            if i is None:
+                raise KeyError(f"vertex {vertex_str(key)} not in graph")
+        return i
+
+    def _walk(self, s: int) -> tuple[list[Fraction], list[int]]:
+        """Tree distances from id s (sums of edge resistances) and parent ids (-1 at s)."""
         dist: list[Optional[Fraction]] = [None] * len(self.vertices)
-        s = self.vertex_id(start)
+        parent = [-1] * len(self.vertices)
         dist[s] = Fraction(0)
+        # a level network has few distinct conductances: invert each once
+        resistance: dict[Fraction, Fraction] = {}
         stack = [s]
         while stack:
             i = stack.pop()
             di = dist[i]
             for j, cond in self.adj[i]:
                 if dist[j] is None:
-                    dist[j] = di + 1 / cond
+                    r = resistance.get(cond)
+                    if r is None:
+                        r = resistance[cond] = 1 / cond
+                    dist[j] = di + r
+                    parent[j] = i
                     stack.append(j)
         assert all(d is not None for d in dist), "graph is not connected"
-        return dist  # type: ignore[return-value]
+        return dist, parent  # type: ignore[return-value]
+
+    def distances_from(self, start) -> list[Fraction]:
+        """Tree distance (sum of edge resistances) from start to every vertex."""
+        return self._walk(self.vertex_id(start))[0]
+
+    def edge_list(self) -> list[tuple[object, object, Fraction]]:
+        """The edges as (label, label, conductance) triples, in id order."""
+        return [(self.vertices[i], self.vertices[j], c) for i, j, c in self.edges]
+
+
+@dataclass
+class LevelGraph(Network):
+    """Tree network of level-L cells, two edges per cell.
+
+    Cell k is `words[k]`; its corners F_w(q1), F_w(q2), F_w(q3) are the
+    vertex ids `corners[3k:3k+3]`, and `s0_digits[k]` counts the digits
+    of its word in {0,1}, which fixes its conductance and its measure.
+    Vertex ids follow the order (word length, word, corner).
+    """
+
+    level: int
+    s0: Fraction
+    words: tuple[str, ...]
+    corners: Sequence[int]
+    s0_digits: bytes
 
     def to_json(self) -> str:
         payload = {
@@ -133,11 +198,10 @@ def build_cells_graph(words: Iterable[str], s0: Fraction, level: int) -> LevelGr
         edges.append((min(q1, q2), max(q1, q2), cond[a]))
         edges.append((min(q1, q3), max(q1, q3), cond[a]))
     edges.sort()
-    adj: list[list[tuple[int, Fraction]]] = [[] for _ in vertices]
-    for i, j, c in edges:
-        adj[i].append((j, c))
-        adj[j].append((i, c))
-    return LevelGraph(level, s0, vertices, index, edges, adj, words, corners, bytes(s0_digits))
+    return LevelGraph(
+        vertices, index, edges, _adjacency(len(vertices), edges),
+        level, s0, words, corners, bytes(s0_digits),
+    )
 
 
 def build_level_graph(
@@ -192,8 +256,7 @@ class BallRegion:
     radius: Fraction
     interior: frozenset[Vertex]
     frontier: frozenset[Vertex]
-    distances: dict[Vertex, Fraction]
-    dist: list[Fraction]  # the same distances, indexed by vertex id
+    dist: list[Fraction]  # distance from the center, indexed by vertex id
     cut_edges: list[tuple[Vertex, Vertex, Fraction]]  # (inside, outside, crossing fraction)
     upper_boundary: Optional[frozenset[Vertex]] = None
     lower_boundary: Optional[frozenset[Vertex]] = None
@@ -203,6 +266,24 @@ class BallRegion:
         return self.graph.level
 
 
+def radius_crossings(graph: Network, dist: Sequence[Fraction], radius: Fraction):
+    """Edges that leave the open ball {d < radius}, in edge order.
+
+    Returns (inside id, outside id, t) triples, where t = (radius - d_inside)
+    times the conductance is the fraction of the edge's resistance that
+    lies inside the ball.
+    """
+    out = []
+    for i, j, cond in graph.edges:
+        di, dj = dist[i], dist[j]
+        if (di < radius) == (dj < radius):
+            continue
+        if di > dj:
+            i, j, di = j, i, dj
+        out.append((i, j, (radius - di) * cond))
+    return out
+
+
 def ball(graph: LevelGraph, center: Vertex, radius: Fraction) -> BallRegion:
     """Open metric ball: interior at distance < radius, grounded frontier at >= radius."""
     radius = Fraction(radius)
@@ -210,21 +291,12 @@ def ball(graph: LevelGraph, center: Vertex, radius: Fraction) -> BallRegion:
         raise ValueError("radius must be positive")
     center = canonicalize(*center)
     dist = graph.distances_from(center)
-    interior = set()
-    for i, d in enumerate(dist):
-        if d < radius:
-            interior.add(graph.vertices[i])
-    frontier = set()
-    cut_edges = []
-    for i, j, cond in graph.edges:
-        di, dj = dist[i], dist[j]
-        if (di < radius) == (dj < radius):
-            continue
-        if di > dj:
-            i, j, di, dj = j, i, dj, di
-        u, v = graph.vertices[i], graph.vertices[j]
-        frontier.add(v)
-        cut_edges.append((u, v, (radius - di) * cond))  # edge resistance = 1/cond
+    vertices = graph.vertices
+    interior = frozenset(vertices[i] for i, d in enumerate(dist) if d < radius)
+    # ids follow the vertex order, so sorting by id sorts by vertex
+    crossings = sorted(radius_crossings(graph, dist, radius))
+    cut_edges = [(vertices[i], vertices[j], t) for i, j, t in crossings]
+    frontier = frozenset(v for _, v, _ in cut_edges)
     upper = lower = None
     if center == ("2", 1):
         upper = frozenset(v for v in frontier if v[0].startswith("0"))
@@ -233,11 +305,10 @@ def ball(graph: LevelGraph, center: Vertex, radius: Fraction) -> BallRegion:
         graph=graph,
         center=center,
         radius=radius,
-        interior=frozenset(interior),
-        frontier=frozenset(frontier),
-        distances={graph.vertices[i]: d for i, d in enumerate(dist)},
+        interior=interior,
+        frontier=frontier,
         dist=dist,
-        cut_edges=sorted(cut_edges, key=lambda e: (_vertex_key(e[0]), _vertex_key(e[1]))),
+        cut_edges=cut_edges,
         upper_boundary=upper,
         lower_boundary=lower,
     )
@@ -250,80 +321,43 @@ def ball_graph(n: int, level: int, s0: Fraction = Fraction(1, 2)) -> LevelGraph:
     return build_cells_graph(ball_cell_words(n, level), s0, level)
 
 
-@dataclass
-class ReducedNetwork:
-    """Result of tracing a network onto a kept vertex set."""
+def schur_trace(graph: Network, keep: Sequence[Vertex]) -> Network:
+    """Exact trace of the quadratic form of a tree onto `keep`.
 
-    vertices: list[Vertex]
-    edges: dict[frozenset[Vertex], Fraction] = field(default_factory=dict)
-
-    def edge_list(self) -> list[tuple[Vertex, Vertex, Fraction]]:
-        out = []
-        for pair, c in self.edges.items():
-            a, b = sorted(pair, key=_vertex_key)
-            out.append((a, b, c))
-        out.sort(key=lambda e: (_vertex_key(e[0]), _vertex_key(e[1])))
-        return out
-
-
-def schur_trace(graph: LevelGraph, keep: Sequence[Vertex]) -> ReducedNetwork:
-    """Exact trace of the quadratic form onto `keep`.
-
-    On a tree this is iterated elimination of degree-1 and degree-2
-    vertices outside the kept set; the reduced form equals the infimum of
-    the original over all extensions.
+    On a tree the trace is again a tree, fixed by resistance distances:
+    rooted at a kept vertex, every other kept vertex v links to its
+    nearest kept ancestor u with conductance 1/(d(v) - d(u)).  A vertex
+    outside `keep` that separates three kept vertices would be a star
+    in the trace, which no tree edge can express, so it is refused.
+    The kept vertices keep their relative id order.
     """
-    keep_set = {canonicalize(*v) for v in keep}
-    missing = [v for v in keep_set if v not in graph.index]
-    if missing:
-        raise KeyError(f"kept vertices not in graph: {sorted(missing)[:3]}")
-    if len(keep_set) < 2:
+    kept = sorted({graph.vertex_id(v) for v in keep})
+    if len(kept) < 2:
         raise ValueError("need at least two kept vertices")
-    cond: dict[Vertex, dict[Vertex, Fraction]] = {v: {} for v in graph.vertices}
-    for i, j, c in graph.edges:
-        u, v = graph.vertices[i], graph.vertices[j]
-        cond[u][v] = cond[u].get(v, Fraction(0)) + c
-        cond[v][u] = cond[v].get(u, Fraction(0)) + c
-
-    queue = sorted(
-        (v for v in graph.vertices if v not in keep_set and len(cond[v]) <= 2),
-        key=_vertex_key,
-    )
-    pending = set(queue)
-    while queue:
-        v = queue.pop()
-        pending.discard(v)
-        if v in keep_set:
-            continue
-        nbrs = cond.pop(v, None)
-        if nbrs is None:
-            continue
-        if len(nbrs) > 2:  # re-queued stale entry
-            cond[v] = nbrs
-            continue
-        for u in nbrs:
-            del cond[u][v]
-        if len(nbrs) == 2:
-            (a, ca), (b, cb) = nbrs.items()
-            c = ca * cb / (ca + cb)
-            cond[a][b] = cond[a].get(b, Fraction(0)) + c
-            cond[b][a] = cond[b].get(a, Fraction(0)) + c
-        for u in nbrs:
-            if u not in keep_set and len(cond[u]) <= 2 and u not in pending:
-                queue.append(u)
-                pending.add(u)
-
-    leftovers = [v for v in cond if v not in keep_set]
-    if leftovers:
-        raise RuntimeError(f"non-tree structure: could not eliminate {leftovers[:3]}")
-    edges: dict[frozenset[Vertex], Fraction] = {}
-    for u, nbrs in cond.items():
-        for v, c in nbrs.items():
-            edges[frozenset((u, v))] = c
-    return ReducedNetwork(sorted(cond, key=_vertex_key), edges)
+    if len(graph.edges) != len(graph.vertices) - 1:
+        raise RuntimeError("non-tree structure: the network has a cycle")
+    dist, parent = graph._walk(kept[0])
+    is_kept = [False] * len(graph.vertices)
+    for i in kept:
+        is_kept[i] = True
+    crossed = [False] * len(graph.vertices)
+    links = []
+    for i in kept[1:]:
+        u = parent[i]
+        while not is_kept[u]:
+            if crossed[u]:
+                raise RuntimeError(f"non-tree structure: could not eliminate {graph.vertices[u]!r}")
+            crossed[u] = True
+            u = parent[u]
+        links.append((min(u, i), max(u, i), 1 / (dist[i] - dist[u])))
+    vertices = [graph.vertices[i] for i in kept]
+    new_id = {i: k for k, i in enumerate(kept)}
+    edges = sorted((new_id[a], new_id[b], c) for a, b, c in links)
+    index = {v: k for k, v in enumerate(vertices)}
+    return Network(vertices, index, edges, _adjacency(len(vertices), edges))
 
 
-def resistance_distance(graph: LevelGraph, u: Vertex, v: Vertex) -> Fraction:
+def resistance_distance(graph: Network, u: Vertex, v: Vertex) -> Fraction:
     """Sum of edge resistances along the unique tree path (= effective resistance)."""
     du = graph.distances_from(u)
     return du[graph.vertex_id(v)]

@@ -13,57 +13,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .addressing import Vertex, canonicalize
+from .network import Network
 
 GROUND = "GND"
-
-
-class SimpleNetwork:
-    """Small conductance network with parallel-edge merging."""
-
-    def __init__(self):
-        self.vertices: list = []
-        self.index: dict = {}
-        self._cond: dict[frozenset, Fraction] = {}
-        self.edges: list = []
-        self.adj: list = []
-        self._final = False
-
-    def add_vertex(self, name):
-        if name not in self.index:
-            self.index[name] = len(self.vertices)
-            self.vertices.append(name)
-        return name
-
-    def add_edge(self, u, v, cond: Fraction):
-        if self._final:
-            raise RuntimeError("network already finalised")
-        if cond <= 0:
-            raise ValueError("conductance must be positive")
-        self.add_vertex(u)
-        self.add_vertex(v)
-        key = frozenset((u, v))
-        if len(key) != 2:
-            raise ValueError("self-loops not allowed")
-        self._cond[key] = self._cond.get(key, Fraction(0)) + Fraction(cond)
-
-    def finalise(self):
-        if self._final:
-            return self
-        self.adj = [[] for _ in self.vertices]
-        for key, c in sorted(self._cond.items(), key=lambda kv: sorted(map(str, kv[0]))):
-            u, v = key
-            i, j = self.index[u], self.index[v]
-            self.edges.append((min(i, j), max(i, j), c))
-            self.adj[i].append((j, c))
-            self.adj[j].append((i, c))
-        self._final = True
-        return self
-
-    def vertex_id(self, v):
-        try:
-            return self.index[v]
-        except KeyError:
-            raise KeyError(f"vertex {v!r} not in network") from None
 
 
 def _series(a: Fraction, b: Fraction) -> Fraction:
@@ -111,45 +63,29 @@ def udown_value_q0(level: int, s0: Fraction = Fraction(1, 2)) -> Fraction:
     return up / (up + down)
 
 
-def uup_chain_network(level: int) -> tuple[SimpleNetwork, list]:
-    """Ladder network of the upward harmonic solve at the given level.
+def uup_values(level: int) -> dict[int, Fraction]:
+    """Discrete ladder values a_m(level) at B_m = F_{0^m 2}(q1) (converge to 4^-(m+1)).
 
-    Nodes are q2 and the spine junctions B_m = F_{0^m 2}(q1); every
-    hanging grounded subtree is collapsed to its exact conductance.
-    Returns (network, [B_0, ..., B_{level-1}]).
+    The upward harmonic solve reduces to a ladder: q2, then the spine
+    junctions B_m, each with its hanging grounded subtree collapsed to
+    its exact conductance, and the grounded limit q1 after the last.
     """
+    from .dirichlet import solve_dirichlet
+
     if level < 1:
         raise ValueError("level must be >= 1")
-    net = SimpleNetwork()
     q2: Vertex = ("", 2)
     nodes = [canonicalize("0" * m + "2", 1) for m in range(level)]
+    edges = []
     prev = q2
     for m, node in enumerate(nodes):
         sigma = Fraction(2 ** (m + 1))
-        net.add_edge(prev, node, sigma)
-        hang = sigma * bottom_grounded_conductance(level - m - 1) / 2
-        net.add_edge(node, GROUND, hang)
+        edges.append((prev, node, sigma))
+        edges.append((node, GROUND, sigma * bottom_grounded_conductance(level - m - 1) / 2))
         prev = node
-    net.add_edge(nodes[-1], GROUND, Fraction(2**level))  # edge to the grounded limit q1
-    return net.finalise(), nodes
-
-
-def uup_values(level: int) -> dict[int, Fraction]:
-    """Discrete ladder values a_m(level) at F_{0^m 2}(q1) (converge to 4^-(m+1))."""
-    from .dirichlet import solve_dirichlet
-
-    net, nodes = uup_chain_network(level)
-    sol = solve_dirichlet(net, {("", 2): 1, GROUND: 0})
-    return {m: sol.values[node] for m, node in enumerate(nodes)}
-
-
-def uup_energy(level: int) -> Fraction:
-    """Discrete energy of the upward solve (equals the chain reduction)."""
-    return upward_grounded_conductance(level)
-
-
-def udown_energy(level: int, s0: Fraction = Fraction(1, 2)) -> Fraction:
-    return bottom_grounded_conductance(level, s0)
+    edges.append((nodes[-1], GROUND, Fraction(2**level)))  # edge to the grounded limit q1
+    sol = solve_dirichlet(Network.from_edges(edges), {q2: 1, GROUND: 0})
+    return {m: sol[node] for m, node in enumerate(nodes)}
 
 
 def x_point_word(n: int, m: int, k: int) -> str:
@@ -166,7 +102,7 @@ def ball_skeleton(
     kind: str = "x",
     m0: int = 0,
     k0: int = 0,
-) -> tuple[SimpleNetwork, dict]:
+) -> tuple[Network, dict]:
     """Exact reduced network of the ball B(q0, 2^-n) at a given level.
 
     kind "x": keeps the upper-spine junctions x_{m,0} (all m up to the
@@ -178,7 +114,7 @@ def ball_skeleton(
     if n < 1:
         raise ValueError("ball index n must be >= 1")
     c = bottom_grounded_conductance
-    net = SimpleNetwork()
+    edges: list = []
     q0: Vertex = ("2", 1)
     labels: dict = {"q0": q0, "ground": GROUND}
 
@@ -188,18 +124,18 @@ def ball_skeleton(
         if k0 and level < n + m0 + k0 + 1:
             raise ValueError("level too small for the requested chain")
         branches = Fraction(2 ** (2 * n - 1)) * c(level - n)
-        net.add_edge(q0, GROUND, branches)
+        edges.append((q0, GROUND, branches))
         spine = [q0]
         top = level - n - 1
         for m in range(top + 1):
             node = canonicalize(x_point_word(n, m, 0), 1)
             sigma = Fraction(2 ** (n + m + 1))
-            net.add_edge(spine[-1], node, sigma)
+            edges.append((spine[-1], node, sigma))
             if not (k0 >= 1 and m == m0):
                 j = level - n - m - 1
-                net.add_edge(node, GROUND, sigma * c(j) / 2)
+                edges.append((node, GROUND, sigma * c(j) / 2))
             spine.append(node)
-        net.add_edge(spine[-1], GROUND, Fraction(2**level))  # grounded apex
+        edges.append((spine[-1], GROUND, Fraction(2**level)))  # grounded apex
         labels["spine"] = spine  # [q0, x_{0,0}, x_{1,0}, ...]
         chain = []
         if k0 >= 1:
@@ -207,17 +143,17 @@ def ball_skeleton(
             for k in range(1, k0 + 1):
                 node = canonicalize(x_point_word(n, m0, k), 1)
                 sigma = Fraction(2 ** (n + m0 + k + 1))
-                net.add_edge(prev, node, sigma)
+                edges.append((prev, node, sigma))
                 if k < k0:
                     j = level - (n + m0 + k + 1)
-                    net.add_edge(node, GROUND, sigma * c(j) / 2)
+                    edges.append((node, GROUND, sigma * c(j) / 2))
                 chain.append(node)
                 prev = node
             terminal = Fraction(2 ** (n + m0 + k0 + 1)) * c(level - (n + m0 + k0 + 1))
-            net.add_edge(chain[-1], GROUND, terminal)
+            edges.append((chain[-1], GROUND, terminal))
         labels["chain"] = chain
         labels["source"] = chain[-1] if k0 >= 1 else spine[m0 + 1]
-        return net.finalise(), labels
+        return Network.from_edges(edges), labels
 
     if kind != "y":
         raise ValueError("kind must be 'x' or 'y'")
@@ -228,18 +164,18 @@ def ball_skeleton(
     e = upward_grounded_conductance(level - n)
     others = Fraction(2 ** (n - 1) - 1) * Fraction(2**n) * c(level - n)
     entry_hang = Fraction(2**n) * c(level - n) / 2
-    net.add_edge(q0, GROUND, Fraction(2**n) * e + others + entry_hang)
+    edges.append((q0, GROUND, Fraction(2**n) * e + others + entry_hang))
     chain = [q0]
     for k in range(1, k0 + 1):
         node = canonicalize(y_point_word(n, k), 1)
-        net.add_edge(chain[-1], node, Fraction(2 ** (n + k)))
+        edges.append((chain[-1], node, Fraction(2 ** (n + k))))
         if k < k0:
-            net.add_edge(node, GROUND, Fraction(2 ** (n + k)) * c(level - n - k) / 2)
+            edges.append((node, GROUND, Fraction(2 ** (n + k)) * c(level - n - k) / 2))
         chain.append(node)
-    net.add_edge(chain[-1], GROUND, Fraction(2 ** (n + k0)) * c(level - n - k0))
+    edges.append((chain[-1], GROUND, Fraction(2 ** (n + k0)) * c(level - n - k0)))
     labels["chain"] = chain[1:]
     labels["source"] = chain[-1]
-    return net.finalise(), labels
+    return Network.from_edges(edges), labels
 
 
 def q0_boundary_resistance(n: int, level: int) -> Fraction:
@@ -266,4 +202,4 @@ def psi_skeleton_values(
     net, labels = ball_skeleton(n, level, kind, m0=m0, k0=k0)
     sol = solve_dirichlet(net, {labels["source"]: 1, GROUND: 0})
     energy = dirichlet_energy(net, sol)
-    return dict(sol.values), 1 / energy
+    return dict(zip(net.vertices, sol.values)), 1 / energy

@@ -65,7 +65,7 @@ def test_uminus_matches_discrete_solve_everywhere():
     spec = u_minus(HALF, a2, a1, a3)
     sol = solve_dirichlet(g, {Q1: a1, Q2: a2, Q3: a3})
     for v in g.vertices:
-        assert eval_closed(spec, v) == sol.values[v]
+        assert eval_closed(spec, v) == sol[v]
     assert energy_closed(spec) == dirichlet_energy(g, sol)
 
 

@@ -145,8 +145,8 @@ def test_g1_identity_contains_direct_solve():
     for x in (Q0, ("02", 1), ("22", 1)):
         x = canonicalize(*x)
         b = g1_via_identity(x, n, EQUAL, level, graph=g)
-        assert b.lower <= g1.values[x] <= b.upper
-        assert b.exact == g1.values[x]
+        assert b.lower <= g1[x] <= b.upper
+        assert b.exact == g1[x]
 
 
 def test_g1_bounds_at_q0_against_eps_window():
@@ -171,22 +171,14 @@ def test_g1_bounds_at_q0_against_eps_window():
 def test_exit_profile_positive_inside():
     n, level = 2, 6
     region, g1 = exit_time_profile(n, EQUAL, level)
-    assert all(float(g1.values[v]) > 0 for v in region.interior)
-    assert all(float(g1.values[v]) == 0 for v in region.frontier)
+    assert all(float(g1[v]) > 0 for v in region.interior)
+    assert all(float(g1[v]) == 0 for v in region.frontier)
 
 
 def test_single_ball_ratio_in_unit_interval():
     rows, slope, err = exit_ratio_experiment([2, 3], EQUAL, level_offset=4)
     for row in rows:
         assert 0 < row.ratio <= 1
-
-
-def test_exit_ratio_decays_for_bottom_heavy_weights():
-    w = WeightVector(Fraction(1, 10), Fraction(2, 5))
-    rows, slope, err = exit_ratio_experiment(range(2, 6), w, level_offset=5)
-    ratios = [r.ratio for r in rows]
-    assert all(a > b for a, b in zip(ratios, ratios[1:]))
-    assert -1.25 <= slope <= -0.75
 
 
 def test_exit_ratio_capacity():

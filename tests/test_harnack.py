@@ -58,7 +58,7 @@ def test_unknown_piece_rejected():
 def test_boundary_harmonic_in_unit_interval():
     n, level = 2, 6
     region, sol = boundary_harmonic(n, BoundaryProfile("upper", m=0, k=1), level)
-    vals = [float(sol.values[v]) for v in region.interior]
+    vals = [float(sol[v]) for v in region.interior]
     assert all(-1e-12 <= v <= 1 + 1e-12 for v in vals)
     assert max(vals) > 0
 
@@ -73,7 +73,7 @@ def test_lower_piece_value_window_at_y1():
     for n in (1, 2, 3):
         region, sol = boundary_harmonic(n, BoundaryProfile("lower", k=1), n + 4)
         y1 = TypicalPoint("yk", n, k=1).vertex()
-        vals.append(float(sol.values[y1]))
+        vals.append(float(sol[y1]))
     assert max(vals) / min(vals) < 1.5  # fixed window across n
 
 
@@ -82,7 +82,7 @@ def test_upper_piece_value_window_at_x00():
     for n in (1, 2, 3):
         region, sol = boundary_harmonic(n, BoundaryProfile("upper", m=0, k=0), n + 4)
         x00 = TypicalPoint("xmk", n, m=0, k=0).vertex()
-        vals.append(float(sol.values[x00]))
+        vals.append(float(sol[x00]))
     assert max(vals) / min(vals) < 1.5
 
 
@@ -96,7 +96,7 @@ def test_superposition_exact():
     _, s2 = boundary_harmonic(n, p2, level, graph=g, mode="exact")
     _, sm = boundary_harmonic(n, mix, level, graph=g, mode="exact")
     for v in g.vertices:
-        assert sm.values[v] == Fraction(1, 3) * s1.values[v] + 2 * s2.values[v]
+        assert sm[v] == Fraction(1, 3) * s1[v] + 2 * s2[v]
 
 
 def test_full_frontier_cover_sums_to_one():
@@ -113,7 +113,7 @@ def test_full_frontier_cover_sums_to_one():
     apex = canonicalize("02", 1)
     psi_apex, _ = equilibrium_potential(g, apex, region.frontier - {apex}, mode="exact")
     assert all(
-        s_up.values[v] + s_low.values[v] + psi_apex.values[v] == 1 for v in region.interior
+        s_up[v] + s_low[v] + psi_apex[v] == 1 for v in region.interior
     )
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from dendrite.addressing import canonicalize, in_cell, words_of_length
 from dendrite.metric import Metric
 from dendrite.network import (
     CapacityError,
+    Network,
     ball,
     ball_cell_words,
     ball_graph,
@@ -97,7 +99,7 @@ def test_ball_b1_structure():
     region = ball(g, Q0, HALF)
     # the lower cell's interior lattice lies inside B(q0, 1/2)
     for v in g.vertices:
-        if in_cell(v, "2") and region.distances[v] < HALF:
+        if in_cell(v, "2") and region.dist[g.vertex_id(v)] < HALF:
             assert v in region.interior
     assert canonicalize("0", 1) not in region.interior  # q1 sits at distance 1/2
     assert ("", 1) in region.frontier
@@ -128,14 +130,14 @@ def test_ball_graph_matches_full_graph():
     assert rf.interior == rt.interior
     assert rf.frontier == rt.frontier
     for v in rt.interior:
-        assert rf.distances[v] == rt.distances[v]
+        assert rf.dist[full.vertex_id(v)] == rt.dist[trimmed.vertex_id(v)]
 
 
 def test_cut_edges_cross_the_radius():
     g = ball_graph(1, 5)
     region = ball(g, Q0, HALF)
     for u, v, frac in region.cut_edges:
-        assert region.distances[u] < HALF <= region.distances[v]
+        assert region.dist[g.vertex_id(u)] < HALF <= region.dist[g.vertex_id(v)]
         assert 0 < frac <= 1
 
 
@@ -185,3 +187,94 @@ def test_recorded_corners_and_cell_conductances():
             c = _product_conductance(word, g.s0)
             assert conductance[min(q1, q2), max(q1, q2)] == c
             assert conductance[min(q1, q3), max(q1, q3)] == c
+
+
+def _separates_three(g, keep, w):
+    """Oracle: whether removing vertex id w leaves kept vertices in three components."""
+    seen = {w}
+    hit = 0
+    for start, _ in g.adj[w]:
+        found = False
+        seen.add(start)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            found |= i in keep
+            for j, _ in g.adj[i]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        hit += found
+    return hit >= 3
+
+
+def _random_kept_sets(g, count, seed):
+    """Random kept id sets of 2-8 vertices; every other one closed under branch points."""
+    rng = random.Random(seed)
+    branchy = [w for w in range(len(g.vertices)) if len(g.adj[w]) >= 3]
+    for t in range(count):
+        keep = set(rng.sample(range(len(g.vertices)), rng.randint(2, 8)))
+        while t % 2:
+            extra = [w for w in branchy if w not in keep and _separates_three(g, keep, w)]
+            if not extra:
+                break
+            keep.update(extra)
+        yield keep
+
+
+@pytest.mark.parametrize("s0", [HALF, Fraction(2, 5)])
+def test_schur_trace_against_brute_force(s0):
+    g = build_level_graph(3, s0)
+    refused = kept_trees = 0
+    for keep in _random_kept_sets(g, 200, seed=7):
+        kept = [g.vertices[i] for i in sorted(keep)]
+        star = any(
+            _separates_three(g, keep, w)
+            for w in range(len(g.vertices))
+            if w not in keep and len(g.adj[w]) >= 3
+        )
+        if star:
+            with pytest.raises(RuntimeError):
+                schur_trace(g, kept)
+            refused += 1
+            continue
+        red = schur_trace(g, kept)
+        kept_trees += 1
+        assert red.vertices == kept and len(red.edges) == len(kept) - 1
+        assert red.edges == sorted(red.edges) and all(i < j for i, j, _ in red.edges)
+        for a, b, c in red.edge_list():
+            assert c == 1 / resistance_distance(g, a, b)
+        # a trace keeps every effective resistance between kept vertices
+        for a in kept:
+            d_red, d_full = red.distances_from(a), g.distances_from(a)
+            assert all(d_red[red.vertex_id(b)] == d_full[g.vertex_id(b)] for b in kept)
+    assert refused > 20 and kept_trees > 20
+
+
+def test_from_edges_sums_parallel_edges():
+    net = Network.from_edges([("a", "b", Fraction(1)), ("b", "c", 2), ("b", "a", Fraction(1, 2))])
+    assert net.vertices == ["a", "b", "c"]
+    assert net.edge_list() == [("a", "b", Fraction(3, 2)), ("b", "c", Fraction(2))]
+    assert net.adj[net.vertex_id("b")] == [(0, Fraction(3, 2)), (2, Fraction(2))]
+    assert net.distances_from("a") == [0, Fraction(2, 3), Fraction(7, 6)]
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [(("a", "a", Fraction(1)), "self-loop"), (("a", "b", Fraction(0)), "positive"),
+     (("a", "b", Fraction(-1)), "positive")],
+)
+def test_from_edges_rejects_bad_edges(edge, message):
+    with pytest.raises(ValueError, match=message):
+        Network.from_edges([("a", "c", Fraction(1)), edge])
+
+
+def test_vertex_id_accepts_labels_and_raw_vertices():
+    g = build_level_graph(2)
+    assert g.vertex_id(("00", 2)) == g.vertex_id(canonicalize("00", 2))
+    with pytest.raises(KeyError):
+        g.vertex_id(("0000", 2))
+    net = Network.from_edges([(Q0, "GND", Fraction(1))])
+    assert (net.vertex_id(Q0), net.vertex_id("GND")) == (0, 1)
+    with pytest.raises(KeyError):
+        net.vertex_id("ground")

@@ -57,7 +57,7 @@ def test_upward_conductance_vs_brute_force():
         assert dirichlet_energy(g, sol) == upward_grounded_conductance(level)
         chain = uup_values(level)
         for m, want in chain.items():
-            assert sol.values[canonicalize("0" * m + "2", 1)] == want
+            assert sol[canonicalize("0" * m + "2", 1)] == want
 
 
 def test_udown_value_decreases_to_quarter():
@@ -93,7 +93,7 @@ def test_skeleton_equals_ball_graph_exactly():
         for node in probes:
             if node == "GND":
                 continue
-            assert psi.values[node] == vals[node]
+            assert psi[node] == vals[node]
 
 
 def test_q0_boundary_resistance_formula():
