@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional
 
 ALPHABET = "0123"
@@ -198,3 +199,27 @@ def raw_points(max_len: int) -> Iterable[tuple[str, int]]:
         for w in words_of_length(length):
             for c in CORNERS:
                 yield w, c
+
+
+def meeting_cell_pairs(depth: int):
+    """Yield, for d = 1..depth, the pairs (a, b, point) of depth-d cells that meet.
+
+    a < b, and `point` is the one point K_a and K_b share.  K_wi lies in
+    K_w, so two depth-d cells can meet only if their parents are equal or
+    meet: each depth tests, with `cell_intersection`, the sibling pairs and
+    the child pairs of the previous depth's meeting pairs.
+    """
+    meeting = []
+    for d in range(1, depth + 1):
+        candidates = [
+            (w + i, w + j)
+            for w in words_of_length(d - 1)
+            for i, j in combinations("0123", 2)
+        ]
+        candidates += [(a + i, b + j) for a, b, _ in meeting for i in "0123" for j in "0123"]
+        meeting = []
+        for a, b in candidates:
+            hit = cell_intersection(a, b)
+            if hit.kind == "point":
+                meeting.append((a, b, hit.point))
+        yield meeting

@@ -15,7 +15,7 @@ import traceback
 from fractions import Fraction
 
 from . import addressing, closed_forms, dirichlet, exit_time, harnack, measure, reduction
-from .addressing import canonicalize, cell_intersection, coords, raw_points, vertex_str
+from .addressing import Q0, Q1, Q2, Q3, canonicalize, cell_intersection, coords, raw_points, vertex_str
 from .closed_forms import CoefficientCase, psi_coefficients, u_down, u_minus, u_plus, u_up
 from .dirichlet import (
     dirichlet_energy,
@@ -40,10 +40,6 @@ from .network import ball, ball_graph, build_level_graph, resistance_distance, s
 from .reduction import psi_skeleton_values, q0_boundary_resistance
 
 HALF = Fraction(1, 2)
-Q0 = ("2", 1)
-Q1 = ("", 1)
-Q2 = ("", 2)
-Q3 = ("", 3)
 
 
 def check_canonical_idempotent(max_len: int = 6):
@@ -92,21 +88,16 @@ def check_adjacency_degree(depth: int = 5):
     contains q1), so the bound is on distinct contact points: at most one
     per corner, hence at most three per cell.
     """
-    for d in range(1, depth + 1):
-        for a in addressing.words_of_length(d):
-            corners = {canonicalize(a, j) for j in (1, 2, 3)}
-            points = set()
-            for b in addressing.words_of_length(d):
-                if a == b:
-                    continue
-                hit = cell_intersection(a, b)
-                if hit.kind != "point":
-                    continue
-                if hit.point not in corners:
-                    return False, f"cell {a!r} touched away from its corners at depth {d}"
-                points.add(hit.point)
-            if len(points) > 3:
-                return False, f"cell {a!r} has {len(points)} contact points"
+    for d, pairs in enumerate(addressing.meeting_cell_pairs(depth), 1):
+        points: dict[str, set] = {}
+        for a, b, point in pairs:
+            for w in (a, b):
+                if point not in {canonicalize(w, j) for j in (1, 2, 3)}:
+                    return False, f"cell {w!r} touched away from its corners at depth {d}"
+                points.setdefault(w, set()).add(point)
+        for w, contact in points.items():
+            if len(contact) > 3:
+                return False, f"cell {w!r} has {len(contact)} contact points"
     return True, f"contacts only at cell corners, exhaustive to depth {depth}"
 
 

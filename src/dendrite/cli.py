@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import checks
-from .addressing import parse_vertex, vertex_str
+from .addressing import canonicalize, parse_vertex, vertex_str
 from .closed_forms import (
     CoefficientCase,
     energy_closed,
@@ -40,7 +40,10 @@ from .measure import (
     integrate_pw_harmonic,
 )
 from .metric import Metric
-from .network import DEFAULT_MAX_LEVEL, CapacityError, ball, ball_graph, build_level_graph
+from .network import CapacityError, ball, ball_graph, build_level_graph
+
+
+DEFAULT_MAX_LEVEL = 12
 
 
 @dataclass
@@ -50,18 +53,18 @@ class RunConfig:
     s0: Fraction = Fraction(1, 2)
     weights: WeightVector = field(default_factory=WeightVector.equal)
     max_level: int = DEFAULT_MAX_LEVEL
-    tolerance_profile: str = "default"
-    outdir: str = "."
-    seed: int = 0
 
     def as_dict(self) -> dict:
+        # The last three keys name settings that no command ever read.  They
+        # are echoed at their old constant values so that every report keeps
+        # its bytes.
         return {
             "s0": str(self.s0),
             "weights": str(self.weights),
             "max_level": self.max_level,
-            "tolerance_profile": self.tolerance_profile,
-            "outdir": self.outdir,
-            "seed": self.seed,
+            "tolerance_profile": "default",
+            "outdir": ".",
+            "seed": 0,
         }
 
     @classmethod
@@ -73,31 +76,23 @@ class RunConfig:
             cfg.weights = WeightVector.parse(data["weights"])
         if "max_level" in data:
             cfg.max_level = int(data["max_level"])
-        if "tolerance_profile" in data:
-            cfg.tolerance_profile = str(data["tolerance_profile"])
-        if "outdir" in data:
-            cfg.outdir = str(data["outdir"])
-        if "seed" in data:
-            cfg.seed = int(data["seed"])
         return cfg
 
 
 def _resolve_config(args) -> RunConfig:
     data = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             data.update(json.load(fh))
     cfg = RunConfig.from_dict(data)
-    if getattr(args, "s0", None):
+    if args.s0:
         cfg.s0 = Fraction(args.s0)
-    if getattr(args, "weights", None):
+    if args.weights:
         cfg.weights = WeightVector.parse(args.weights)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
     env_max = os.environ.get("DENDRITE_MAX_LEVEL")
     if env_max is not None:
         cfg.max_level = int(env_max)
-    if getattr(args, "max_level", None):
+    if args.max_level is not None:
         cfg.max_level = args.max_level
     if not 0 < cfg.s0 < 1:
         raise ValueError("s0 must lie strictly between 0 and 1")
@@ -107,6 +102,7 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _check_level(level: int, cfg: RunConfig):
+    """The one test of a level against the configured cap."""
     if level > cfg.max_level:
         raise CapacityError(f"level {level} exceeds the configured maximum {cfg.max_level}")
 
@@ -120,6 +116,14 @@ def _parse_range(text: str) -> list[int]:
     if not values:
         raise ValueError(f"range {text!r} is empty")
     return values
+
+
+def _checked_n_range(args, cfg: RunConfig) -> list[int]:
+    """The --n values of a ball experiment, each checked at level n + offset."""
+    n_values = _parse_range(args.n)
+    for n in n_values:
+        _check_level(n + args.level_offset, cfg)
+    return n_values
 
 
 def _write_report(path, cfg: RunConfig, header: list[str], rows: list[list]) -> str:
@@ -147,7 +151,7 @@ def _fmt(x) -> str:
 
 def cmd_graph(args, cfg: RunConfig) -> int:
     _check_level(args.level, cfg)
-    g = build_level_graph(args.level, cfg.s0, max_level=cfg.max_level)
+    g = build_level_graph(args.level, cfg.s0)
     text = g.to_json()
     if args.out:
         with open(args.out, "w") as fh:
@@ -159,7 +163,7 @@ def cmd_graph(args, cfg: RunConfig) -> int:
 
 def cmd_resistance(args, cfg: RunConfig) -> int:
     _check_level(args.level, cfg)
-    g = build_level_graph(args.level, cfg.s0, max_level=cfg.max_level)
+    g = build_level_graph(args.level, cfg.s0)
     u = parse_vertex(getattr(args, "from"))
     v = parse_vertex(args.to)
     r = effective_resistance(g, [u], [v], mode="float" if args.float else "exact")
@@ -242,10 +246,8 @@ def cmd_measure(args, cfg: RunConfig) -> int:
 
 
 def cmd_exit_ratio(args, cfg: RunConfig) -> int:
-    n_values = _parse_range(args.n)
-    rows, slope, stderr = exit_ratio_experiment(
-        n_values, cfg.weights, level_offset=args.level_offset, max_level=cfg.max_level
-    )
+    n_values = _checked_n_range(args, cfg)
+    rows, slope, stderr = exit_ratio_experiment(n_values, cfg.weights, level_offset=args.level_offset)
     table = [[r.n, r.level, _fmt(r.inf_core), _fmt(r.sup_ball), _fmt(r.ratio)] for r in rows]
     _write_report(args.out, cfg, ["n", "level", "inf_core", "sup_ball", "ratio"], table)
     summary = {"slope": slope, "stderr": stderr, "n_range": [min(n_values), max(n_values)]}
@@ -259,9 +261,7 @@ def cmd_exit_ratio(args, cfg: RunConfig) -> int:
 
 
 def cmd_ehi(args, cfg: RunConfig) -> int:
-    n_values = _parse_range(args.n)
-    for n in n_values:
-        _check_level(n + args.level_offset, cfg)
+    n_values = _checked_n_range(args, cfg)
     rows, slope, stderr = ehi_slope(n_values, args.k, Fraction(args.epsilon), args.level_offset)
     table = [
         [r["n"], r["level"], r["k"], _fmt(Fraction(args.epsilon)), _fmt(r["inf"]),
@@ -274,9 +274,7 @@ def cmd_ehi(args, cfg: RunConfig) -> int:
 
 
 def cmd_weh(args, cfg: RunConfig) -> int:
-    n_values = _parse_range(args.n)
-    for n in n_values:
-        _check_level(n + args.level_offset, cfg)
+    n_values = _checked_n_range(args, cfg)
     rho_values = [Fraction(x) for x in args.rho.split(",")]
     scan = weh_threshold_scan(Fraction(args.delta), rho_values, n_values, args.level_offset)
     table = []
@@ -307,8 +305,6 @@ def cmd_doubling(args, cfg: RunConfig) -> int:
     metric = Metric(cfg.s0)
     table = []
     for n in n_values:
-        from .addressing import canonicalize
-
         x = parse_vertex(args.x) if args.x else canonicalize("2" + "0" * (n - 1), 2)
         r = Fraction(args.radius) if args.radius else Fraction(1, 2**n)
         ratio, big, small = doubling_ratio(
@@ -342,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s0", help="contraction ratio as p/q (default 1/2)")
     p.add_argument("--weights", help="measure weights 'w0,w2' (default 1/4,1/4)")
     p.add_argument("--max-level", type=int, dest="max_level", help="level capacity override")
-    p.add_argument("--seed", type=int, help="seed for sampled experiments")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("graph", help="export a level network as JSON")

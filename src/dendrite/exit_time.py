@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .addressing import Vertex, canonicalize, vertex_str
+from .addressing import Q0, Vertex, canonicalize, vertex_str
 from .dirichlet import VertexFunction, equilibrium_potential, green_g1
 from .measure import (
     IntegralBounds,
@@ -21,10 +21,8 @@ from .measure import (
     classify_region_cells,
     harmonic_weights,
 )
-from .network import BallRegion, CapacityError, LevelGraph, ball, ball_graph
+from .network import BallRegion, LevelGraph, ball, ball_graph
 from .reduction import x_point_word, y_point_word
-
-Q0: Vertex = ("2", 1)
 
 
 @dataclass(frozen=True)
@@ -165,25 +163,24 @@ def network_reduce(
     if x not in region.interior:
         raise ValueError(f"{vertex_str(x)} is not interior to the ball")
     z_l, z_r = locate_reduction_nodes(x, n)
-    _, r_l_total = equilibrium_potential(graph, z_l, region.frontier, mode="float")
-    _, r_r_total = equilibrium_potential(graph, z_r, region.frontier, mode="float")
-    d_lr = float(graph.distances_from(z_l)[graph.vertex_id(z_r)])
-    d_xl = float(graph.distances_from(x)[graph.vertex_id(z_l)])
-    d_xr = float(graph.distances_from(x)[graph.vertex_id(z_r)])
-
     if x == z_l:
         psi, r = equilibrium_potential(graph, x, region.frontier, mode="float")
         return ReductionResult(z_l, z_r, math.inf, math.inf, r, 1.0, float(psi[z_r]))
 
-    # arm resistances: 1/R(z_a, frontier) = 1/r_a + 1/(d(z_l,z_r) + r_other)
-    r_l, r_r = r_l_total, r_r_total
-    for _ in range(200):
-        new_l = 1.0 / (1.0 / r_l_total - 1.0 / (d_lr + r_r))
-        new_r = 1.0 / (1.0 / r_r_total - 1.0 / (d_lr + new_l))
-        if abs(new_l - r_l) + abs(new_r - r_r) < 1e-15 * (r_l + r_r):
-            r_l, r_r = new_l, new_r
-            break
-        r_l, r_r = new_l, new_r
+    _, r_l_total = equilibrium_potential(graph, z_l, region.frontier, mode="float")
+    _, r_r_total = equilibrium_potential(graph, z_r, region.frontier, mode="float")
+    d_lr = float(graph.distances_from(z_l)[graph.vertex_id(z_r)])
+    from_x = graph.distances_from(x)
+    d_xl = float(from_x[graph.vertex_id(z_l)])
+    d_xr = float(from_x[graph.vertex_id(z_r)])
+
+    # arm resistances: 1/R(z_a, frontier) = 1/r_a + 1/(d(z_l,z_r) + r_other).
+    # With g = r_l r_r / (r_l + r_r + d) both equations become
+    # g^2 + d g = R_l R_r, and each arm is d g / (R_other - g).
+    rr = r_l_total * r_r_total
+    g = 2.0 * rr / (d_lr + math.sqrt(d_lr * d_lr + 4.0 * rr))
+    r_l = d_lr * g / (r_r_total - g)
+    r_r = d_lr * g / (r_l_total - g)
     resistance = 1.0 / (1.0 / (d_xl + r_l) + 1.0 / (d_xr + r_r))
     return ReductionResult(
         z_l,
@@ -270,11 +267,14 @@ class ExitRatioRow:
 
 
 def fit_log2_slope(xs, ys) -> tuple[float, float]:
-    """Least-squares slope of log2(y) against x, with its standard error."""
+    """Least-squares slope of log2(y) against x, with its standard error.
+
+    Fewer than two points fix no slope: both come back NaN.
+    """
     pts = [(float(x), math.log2(y)) for x, y in zip(xs, ys)]
     n = len(pts)
     if n < 2:
-        raise ValueError("need at least two points")
+        return math.nan, math.nan
     mx = sum(p[0] for p in pts) / n
     my = sum(p[1] for p in pts) / n
     sxx = sum((p[0] - mx) ** 2 for p in pts)
@@ -291,7 +291,6 @@ def exit_ratio_experiment(
     n_values,
     w: WeightVector,
     level_offset: int = 5,
-    max_level: int = 12,
 ) -> tuple[list[ExitRatioRow], float, float]:
     """Ratio of the exit-time infimum over 4^-n B_n to its supremum over B_n.
 
@@ -301,14 +300,10 @@ def exit_ratio_experiment(
     rows = []
     for n in n_values:
         level = n + level_offset
-        if level > max_level:
-            raise CapacityError(f"level {level} exceeds maximum {max_level}")
         region, g1 = exit_time_profile(n, w, level)
         core_radius = Fraction(1, 2**n) * Fraction(1, 4**n)
         inf_core = min(float(x) for x, d in zip(g1.values, region.dist) if d < core_radius)
         sup_ball = max(float(x) for x, d in zip(g1.values, region.dist) if d < region.radius)
         rows.append(ExitRatioRow(n, level, inf_core, sup_ball, inf_core / sup_ball))
-    if len(rows) < 2:
-        return rows, math.nan, math.nan
     slope, stderr = fit_log2_slope([r.n for r in rows], [r.ratio for r in rows])
     return rows, slope, stderr

@@ -13,14 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .addressing import Vertex, canonicalize
+from .addressing import Q0, Vertex, canonicalize
 from .dirichlet import VertexFunction, solve_dirichlet
 from .exit_time import fit_log2_slope
 from .measure import WeightVector, cell_measure_table, classify_region_cells
 from .network import BallRegion, LevelGraph, ball, ball_graph, radius_crossings
 from .reduction import x_point_word
-
-Q0: Vertex = ("2", 1)
 
 
 @dataclass(frozen=True)

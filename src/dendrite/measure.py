@@ -113,10 +113,6 @@ def _row_times_matrix(row, matrix):
     return tuple(sum(row[k] * matrix[k][j] for k in range(3)) for j in range(3))
 
 
-def _matrix_times_col(matrix, col):
-    return tuple(sum(matrix[j][k] * col[k] for k in range(3)) for j in range(3))
-
-
 def harmonic_weights(w: WeightVector, s0: Fraction = Fraction(1, 2)):
     """Probability vector p with integral(h) = sum p_j h(q_j) for global harmonics.
 
@@ -160,7 +156,6 @@ def subdivision_quadrature_row(w: WeightVector, depth: int, s0: Fraction = Fract
     wt = w.as_tuple()
     row = (Fraction(1, 3),) * 3
     for _ in range(depth):
-        acc = (Fraction(0),) * 3
         new = [Fraction(0)] * 3
         for i in range(4):
             contrib = _row_times_matrix(row, mats[i])

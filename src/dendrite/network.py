@@ -17,11 +17,9 @@ from typing import Iterable, Optional, Sequence
 
 from .addressing import Vertex, canonicalize, vertex_str, words_of_length
 
-DEFAULT_MAX_LEVEL = 12
-
 
 class CapacityError(Exception):
-    """Requested level exceeds the configured maximum."""
+    """Requested level exceeds the configured maximum or the full-graph limit."""
 
 
 def _vertex_key(v: Vertex):
@@ -204,14 +202,10 @@ def build_cells_graph(words: Iterable[str], s0: Fraction, level: int) -> LevelGr
     )
 
 
-def build_level_graph(
-    level: int, s0: Fraction = Fraction(1, 2), max_level: int = DEFAULT_MAX_LEVEL
-) -> LevelGraph:
+def build_level_graph(level: int, s0: Fraction = Fraction(1, 2)) -> LevelGraph:
     """The full level-L network on 2*4^L + 1 vertices."""
     if level < 0:
         raise ValueError("level must be non-negative")
-    if level > max_level:
-        raise CapacityError(f"level {level} exceeds maximum {max_level}")
     if level > 9:
         # 4^10 cells is already ~2M vertices; full graphs beyond that are
         # never needed (ball subgraphs and network reductions cover big L)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 
@@ -9,6 +10,7 @@ from dendrite.addressing import (
     cell_intersection,
     coords,
     in_cell,
+    meeting_cell_pairs,
     parse_vertex,
     raw_points,
     vertex_str,
@@ -120,3 +122,15 @@ def test_in_cell_membership():
     assert not in_cell(q0, "1") and not in_cell(q0, "3")
     assert in_cell(("", 1), "0101")
     assert not in_cell(("", 2), "0")
+
+
+def test_meeting_cell_pairs_match_brute_force():
+    for d, pairs in enumerate(meeting_cell_pairs(3), 1):
+        words = list(words_of_length(d))
+        brute = set()
+        for a, b in combinations(words, 2):
+            hit = cell_intersection(a, b)
+            if hit.kind != "disjoint":
+                brute.add((min(a, b), max(a, b), hit.point))
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == brute

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 BASE = [sys.executable, "-m", "dendrite.cli"]
 
 
@@ -47,6 +49,39 @@ def test_empty_range_is_a_validation_error():
 def test_capacity_error_exit_code():
     out = run_cli("exit-ratio", "--n", "4..5", env={"DENDRITE_MAX_LEVEL": "6"})
     assert out.returncode == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "--level", "7"],
+        ["resistance", "--from=-:2", "--to=-:1", "--level", "7"],
+        ["ball", "--n", "1", "--level", "7"],
+        ["exit-ratio", "--n", "1..5", "--level-offset", "3"],
+        ["ehi", "--n", "2..3"],
+        ["weh", "--n", "2..3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_level_is_checked_before_any_work(argv):
+    out = run_cli(*argv, env={"DENDRITE_MAX_LEVEL": "6"})
+    assert out.returncode == 4
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("capacity error: ")
+
+
+def test_max_level_zero_is_a_validation_error():
+    out = run_cli("--max-level", "0", "measure", "--cell", "2")
+    assert out.returncode == 3
+    assert out.stderr.splitlines() == ["error: max_level must be at least 1"]
+
+
+@pytest.mark.parametrize("command", ["ehi", "weh"])
+def test_single_ball_runs(command):
+    out = run_cli(command, "--n", "2..2")
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[2].startswith("2,")
 
 
 def test_graph_export(tmp_path):
@@ -100,6 +135,17 @@ def test_config_file_round_trip(tmp_path):
     cfg_path.write_text(json.dumps({"weights": "1/6,1/3", "max_level": 11, "seed": 3}))
     out = run_cli("--config", str(cfg_path), "measure", "--cell", "2")
     assert out.stdout.strip() == "1/3"
+
+
+def test_config_file_with_unread_keys_loads(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 3, "outdir": "elsewhere", "tolerance_profile": "strict"}))
+    out = run_cli("--config", str(cfg_path), "harmonics", "--coeffs", "xmk", "--n", "1", "--m0", "1")
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[0] == (
+        '# config: {"max_level": 12, "outdir": ".", "s0": "1/2", "seed": 0, '
+        '"tolerance_profile": "default", "weights": "1/4,1/4"}'
+    )
 
 
 def test_ball_summary():

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from dendrite.addressing import canonicalize
+from dendrite.dirichlet import equilibrium_potential
 from dendrite.exit_time import (
     TypicalPoint,
     boundary_resistance,
@@ -16,7 +18,7 @@ from dendrite.exit_time import (
 )
 from dendrite.measure import WeightVector
 from dendrite.metric import Metric
-from dendrite.network import CapacityError, ball, ball_graph
+from dendrite.network import ball, ball_graph
 from dendrite.reduction import psi_skeleton_values, q0_boundary_resistance
 
 HALF = Fraction(1, 2)
@@ -104,6 +106,7 @@ def test_locate_reduction_nodes_cases():
 def test_network_reduce_exact_on_arcs():
     n, level = 1, 7
     g = ball_graph(n, level)
+    region = ball(g, Q0, Fraction(1, 2**n))
     arc_points = [("02", 1), ("022", 1), ("0202", 1), ("22", 1), ("202", 1), ("2022", 1)]
     for x in arc_points:
         x = canonicalize(*x)
@@ -111,6 +114,14 @@ def test_network_reduce_exact_on_arcs():
         _, _, r = boundary_resistance(x, n, level, graph=g, mode="float")
         assert abs(red.resistance / r - 1) < 0.02
         assert 0 <= red.psi_left <= 1 and 0 <= red.psi_right <= 1
+        if red.r_left == math.inf:
+            continue  # x is its own left node: no arms to solve
+        # the arms solve 1/R(z, frontier) = 1/r_z + 1/(d(z_l, z_r) + r_other) at both nodes
+        d = float(g.distances_from(red.z_left)[g.vertex_id(red.z_right)])
+        for z, arm, other in ((red.z_left, red.r_left, red.r_right),
+                              (red.z_right, red.r_right, red.r_left)):
+            _, total = equilibrium_potential(g, z, region.frontier, mode="float")
+            assert 1 / arm + 1 / (d + other) == pytest.approx(1 / total, rel=1e-12)
 
 
 def test_network_reduce_degenerate_center():
@@ -181,9 +192,8 @@ def test_single_ball_ratio_in_unit_interval():
         assert 0 < row.ratio <= 1
 
 
-def test_exit_ratio_capacity():
-    with pytest.raises(CapacityError):
-        exit_ratio_experiment([8], EQUAL, level_offset=5, max_level=12)
+def test_fit_log2_slope_needs_two_points():
+    assert all(math.isnan(v) for v in fit_log2_slope([3], [0.5]))
 
 
 def test_fit_log2_slope_exact_line():

@@ -41,8 +41,9 @@ def test_vertex_count_formula():
 
 
 def test_capacity_error():
+    # full level graphs stop at level 9, whatever the configured cap
     with pytest.raises(CapacityError):
-        build_level_graph(9, max_level=8)
+        build_level_graph(10)
 
 
 def test_renormalization_edge_for_edge():
