@@ -480,7 +480,7 @@ def check_quadrature_sandwich(seed: int = 4):
         ex = integ.exact(st)
         if not lo <= ex <= hi:
             return False, f"exact value escapes the corner sandwich in {st[0]}"
-        kids = measure._state_children(st, HALF)
+        kids = closed_forms._state_children(st, HALF)
         if sum(integ.exact(k) * q for k, q in zip(kids, w.as_tuple())) != ex:
             return False, "children integrals do not sum to the parent"
         stack.append(kids[rng.randrange(4)])

@@ -119,9 +119,17 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _checked_n_range(args, cfg: RunConfig) -> list[int]:
-    """The --n values of a ball experiment, each checked at level n + offset."""
+    """The --n values of a ball experiment, each checked at level n + offset.
+
+    Ball experiments run on the dyadic balls B(q0, 2^-n), so they also need
+    s0 = 1/2 and every n >= 1; all of it is checked before any ball is built.
+    """
+    if cfg.s0 != Fraction(1, 2):
+        raise ValueError("ball subgraphs assume s0 = 1/2 (dyadic radii)")
     n_values = _parse_range(args.n)
     for n in n_values:
+        if n < 1:
+            raise ValueError("ball index n must be >= 1")
         _check_level(n + args.level_offset, cfg)
     return n_values
 
@@ -195,7 +203,7 @@ def _harmonic_spec(kind: str, params: str | None, s0: Fraction):
     if kind == "udown":
         return u_down(s0)
     if kind == "uup":
-        return u_up()
+        return u_up(s0)
     values = [Fraction(x) for x in (params or "").split(",") if x]
     if kind == "uminus":
         if len(values) != 3:

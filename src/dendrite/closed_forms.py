@@ -1,9 +1,14 @@
 """Closed-form harmonic functions and explicit potential coefficients.
 
-The three basic harmonic extensions (the V0 extension, the top-to-bottom
-decay function and the upward ladder) have piecewise self-similar
-descriptions; they and the explicit spine/branch coefficient tables act
-as exact oracles against the discrete solver.
+The basic harmonic extensions (the V0 extension, the top-to-bottom decay
+function, the upward ladder and the four-piece extension) are
+self-similar: on each cell such a function is fixed by a small cell
+state, and the states of a cell's four children follow from its own
+through the harmonic extension maps.  That one recursion,
+`_state_children`, is how `eval_closed` evaluates the functions (descend
+along the point's word) and how `measure` refines them for certified
+integrals.  The functions and the explicit spine/branch coefficient
+tables act as exact oracles against the discrete solver.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .addressing import Vertex, canonicalize
-from .metric import Metric
 
 HALF = Fraction(1, 2)
 
@@ -51,36 +55,94 @@ def u_down(s0: Fraction = HALF) -> HarmonicSpec:
     return HarmonicSpec("udown", (), Fraction(s0))
 
 
-def u_up() -> HarmonicSpec:
-    return HarmonicSpec("uup", (), HALF)
+def u_up(s0: Fraction = HALF) -> HarmonicSpec:
+    return HarmonicSpec("uup", (), Fraction(s0))
 
 
 def u_plus(s0: Fraction, a, b, c) -> HarmonicSpec:
     return HarmonicSpec("uplus", (Fraction(a), Fraction(b), Fraction(c)), Fraction(s0))
 
 
-_METRICS: dict[Fraction, Metric] = {}
+def _spec_state(spec: HarmonicSpec):
+    """The cell state of the whole space K for a closed-form harmonic.
+
+    A state fixes the function on one cell: ("h", a1, a2, a3) is the
+    harmonic extension of a1, a2, a3 at the corners q1, q2, q3; ("plus", a,
+    b, c) is the four-piece extension, b at q1, a at q2 and 0 at q3;
+    ("down", s) is s times the decay function, s at q1; ("up", s) is s
+    times the upward ladder, s at q2.
+    """
+    if spec.kind == "uminus":
+        a2, a1, a3 = spec.params
+        return ("h", a1, a2, a3)
+    if spec.kind == "udown":
+        return ("down", Fraction(1))
+    if spec.kind == "uup":
+        return ("up", Fraction(1))
+    a, b, c = spec.params
+    return ("plus", a, b, c)
 
 
-def _metric(s0: Fraction) -> Metric:
-    m = _METRICS.get(s0)
-    if m is None:
-        m = _METRICS[s0] = Metric(s0)
-    return m
+def _state_children(state, s0: Fraction):
+    """The states of the four children F_0(K), ..., F_3(K) of a cell in `state`."""
+    kind = state[0]
+    s2 = 1 - s0
+    lam = s2 / 2
+    if kind == "h":
+        _, a1, a2, a3 = state
+        mid = s0 * a2 + s2 * a1  # value at the junction q0 on the arc q2 -> q1
+        jval = s2 * a1 + s0 * a3
+        return (
+            ("h", a1, mid, a1),
+            ("h", a1, a1, jval),
+            ("h", mid, a2, mid),
+            ("h", jval, jval, a3),
+        )
+    if kind == "down":
+        s = state[1]
+        return (
+            ("h", s, s * lam, s),
+            ("h", s, s, s * lam),
+            ("down", s * lam),
+            ("down", s * lam),
+        )
+    if kind == "plus":
+        _, a, b, c = state
+        mid = s0 * a + s2 * b
+        return (
+            ("h", b, mid, b),
+            ("h", b, b, c),
+            ("h", mid, a, mid),
+            ("down", c),
+        )
+    if kind == "up":
+        s = state[1]
+        return (
+            ("up", s / 4),
+            ("h", Fraction(0), Fraction(0), Fraction(0)),
+            ("plus", s, s / 4, s / 16),
+            ("h", Fraction(0), Fraction(0), Fraction(0)),
+        )
+    raise ValueError(f"unknown cell state {kind!r}")
 
 
 def eval_closed(spec: HarmonicSpec, v: Vertex) -> Fraction:
-    """Exact value of the closed-form harmonic at a lattice point."""
-    v = canonicalize(*v)
-    if spec.kind == "uminus":
-        a2, a1, a3 = spec.params
-        return _eval_uminus(_metric(spec.s0), a2, a1, a3, v)
-    if spec.kind == "udown":
-        return _eval_udown(spec.s0, v)
-    if spec.kind == "uup":
-        return _eval_uup(v)
-    a, b, c = spec.params
-    return _eval_uplus(spec.s0, a, b, c, v)
+    """Exact value of the closed-form harmonic at a lattice point.
+
+    Descends the cell states along the word of v's normal form F_w(q_j),
+    then reads the last state's value at its corner q_j.
+    """
+    word, corner = canonicalize(*v)
+    state = _spec_state(spec)
+    for digit in word:
+        state = _state_children(state, spec.s0)[int(digit)]
+    kind = state[0]
+    if kind == "h":
+        return state[corner]
+    if kind == "plus":
+        _, a, b, _ = state
+        return (b, a, Fraction(0))[corner - 1]
+    return state[1] if corner == (1 if kind == "down" else 2) else Fraction(0)
 
 
 def energy_closed(spec: HarmonicSpec) -> Fraction:
@@ -96,81 +158,6 @@ def energy_closed(spec: HarmonicSpec) -> Fraction:
         return Fraction(3, 2)
     a, b, c = spec.params
     return (a - b) ** 2 + (b - c) ** 2 / s0 + (1 / s0 + 1) * c * c / s2
-
-
-def _eval_uminus(metric: Metric, a2, a1, a3, v: Vertex) -> Fraction:
-    # project v onto the spine q2 -> q1 -> q3 and interpolate linearly in
-    # resistance length; off-spine branches are constant
-    s = metric.dist(v, ("", 2))
-    t = metric.dist(v, ("", 3))
-    hang = (s + t - 2) / 2
-    tau = s - hang  # position of the projection along q2 -> q3, in [0, 2]
-    if tau <= 1:
-        return a2 + (a1 - a2) * tau
-    return a1 + (a3 - a1) * (tau - 1)
-
-
-def _on_bottom(v: Vertex) -> bool:
-    word, corner = v
-    return corner in (2, 3) and all(d in "23" for d in word)
-
-
-def _eval_udown(s0: Fraction, v: Vertex) -> Fraction:
-    lam = (1 - s0) / 2
-    value = Fraction(1)
-    word, corner = v
-    while True:
-        if (word, corner) == ("", 1):
-            return value
-        if _on_bottom((word, corner)):
-            return Fraction(0)
-        if word and word[0] in "23":
-            value *= lam
-            word, corner = canonicalize(word[1:], corner)
-            continue
-        metric = _metric(s0)
-        if word and word[0] == "0":
-            local = canonicalize(word[1:], corner)
-            return value * _eval_uminus(metric, lam, Fraction(1), Fraction(1), local)
-        if word and word[0] == "1":
-            local = canonicalize(word[1:], corner)
-            return value * _eval_uminus(metric, Fraction(1), Fraction(1), lam, local)
-        # q2 / q3 handled by _on_bottom; q1 by the first branch
-        raise AssertionError(f"unreachable vertex {v}")
-
-
-def _eval_uplus(s0: Fraction, a, b, c, v: Vertex) -> Fraction:
-    word, corner = v
-    mid = s0 * a + (1 - s0) * b
-    metric = _metric(s0)
-    if (word, corner) == ("", 1):
-        return b
-    if (word, corner) == ("", 2):
-        return a
-    if (word, corner) == ("", 3):
-        return Fraction(0)
-    d, local = word[0], canonicalize(word[1:], corner)
-    if d == "0":
-        return _eval_uminus(metric, mid, b, b, local)
-    if d == "1":
-        return _eval_uminus(metric, b, b, c, local)
-    if d == "2":
-        return _eval_uminus(metric, a, mid, mid, local)
-    return c * _eval_udown(s0, local)
-
-
-def _eval_uup(v: Vertex) -> Fraction:
-    word, corner = v
-    if (word, corner) == ("", 2):
-        return Fraction(1)
-    m = 0
-    while m < len(word) and word[m] == "0":
-        m += 1
-    if m == len(word) or word[m] in "13":
-        return Fraction(0)  # q1 and everything hanging right of the spine
-    a_m = Fraction(1, 4 ** (m + 1))
-    local = canonicalize(word[m + 1:], corner)
-    return _eval_uplus(HALF, 4 * a_m, a_m, a_m / 4, local)
 
 
 @dataclass(frozen=True)
@@ -204,8 +191,6 @@ class PsiCoefficients:
     case: CoefficientCase
     spine: dict[int, Fraction] = field(default_factory=dict)  # a_{m,0} or b_k
     branch: dict[int, Fraction] = field(default_factory=dict)  # a_{m0,k}
-    spine_quarter: dict[int, Fraction] = field(default_factory=dict)  # a_{m,1} = a_{m,0}/4
-    branch_quarter: dict[int, Fraction] = field(default_factory=dict)  # a'_{m0,k} = a_{m0,k}/4
 
 
 def _ladder(alpha: Fraction, beta: Fraction, j: int) -> Fraction:
@@ -236,9 +221,7 @@ def psi_coefficients(case: CoefficientCase) -> PsiCoefficients:
         grow = 3 * (1 + en)
         den = _ladder(grow, -decay, k0)
         for k in range(0, k0 + 1):
-            bk = _ladder(grow, -decay, k) / den
-            out.spine[k] = bk
-            out.branch_quarter[k] = bk / 4
+            out.spine[k] = _ladder(grow, -decay, k) / den
         return out
 
     m0, k0 = case.m0, case.k0
@@ -248,7 +231,4 @@ def psi_coefficients(case: CoefficientCase) -> PsiCoefficients:
         out.spine[m] = _ladder(grow, -decay, m) / den
     for k in range(0, k0 + 1):
         out.branch[k] = _ladder(grow, -decay, m0 + k) / den
-        out.branch_quarter[k] = out.branch[k] / 4
-    for m in range(-1, m0):
-        out.spine_quarter[m] = out.spine[m] / 4
     return out

@@ -278,8 +278,9 @@ def weh_threshold_scan(
 ) -> list[dict]:
     """Growth factors across the weight threshold w2 = 2^(1-delta) w0."""
     out = []
-    for rho in rho_values:
-        w = weights_for_rho(delta, rho)
+    # every rho is checked, through its weights, before the first scan
+    weights = [weights_for_rho(delta, rho) for rho in rho_values]
+    for rho, w in zip(rho_values, weights):
         reports, per_n, total = weh_growth(
             n_values, delta, w, BoundaryProfile("upper", m=0, k=1), level_offset
         )

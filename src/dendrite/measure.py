@@ -4,7 +4,8 @@ A weight vector (w0, w1, w2, w3) with w0 = w1, w2 = w3 defines the unique
 self-similar probability measure multiplying digit weights along words.
 Integrals of piecewise-harmonic functions are computed two ways: exactly,
 through the self-similar fixed-point identities, and as certified
-interval bounds by adaptive cell refinement.
+interval bounds by adaptive cell refinement.  The refinement descends the
+cell-state recursion of `closed_forms`, the one that `eval_closed` reads.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .addressing import Vertex, canonicalize, check_word, in_cell
-from .closed_forms import HarmonicSpec
+from .closed_forms import HarmonicSpec, _spec_state, _state_children
 from .metric import Metric
 from .network import BallRegion
 
@@ -166,49 +167,7 @@ def subdivision_quadrature_row(w: WeightVector, depth: int, s0: Fraction = Fract
 
 
 # ---------------------------------------------------------------------------
-# piecewise-harmonic cell states
-
-
-def _state_children(state, s0: Fraction):
-    kind = state[0]
-    s2 = 1 - s0
-    lam = s2 / 2
-    if kind == "h":
-        _, a1, a2, a3 = state
-        mid = s0 * a2 + s2 * a1  # value at the junction q0 on the arc q2 -> q1
-        jval = s2 * a1 + s0 * a3
-        return (
-            ("h", a1, mid, a1),
-            ("h", a1, a1, jval),
-            ("h", mid, a2, mid),
-            ("h", jval, jval, a3),
-        )
-    if kind == "down":
-        s = state[1]
-        return (
-            ("h", s, s * lam, s),
-            ("h", s, s, s * lam),
-            ("down", s * lam),
-            ("down", s * lam),
-        )
-    if kind == "plus":
-        _, a, b, c = state
-        mid = s0 * a + s2 * b
-        return (
-            ("h", b, mid, b),
-            ("h", b, b, c),
-            ("h", mid, a, mid),
-            ("down", c),
-        )
-    if kind == "up":
-        s = state[1]
-        return (
-            ("up", s / 4),
-            ("h", Fraction(0), Fraction(0), Fraction(0)),
-            ("plus", s, s / 4, s / 16),
-            ("h", Fraction(0), Fraction(0), Fraction(0)),
-        )
-    raise ValueError(f"unknown cell state {kind!r}")
+# piecewise-harmonic cell states (their recursion lives in closed_forms)
 
 
 def _state_range(state):
@@ -303,18 +262,6 @@ class HarmonicIntegrator:
             for i, child in enumerate(_state_children(st, self.s0)):
                 push(child, mu * wt[i], depth + 1)
         return IntegralBounds(lo, hi, exact=self.exact(state))
-
-
-def _spec_state(spec: HarmonicSpec):
-    if spec.kind == "uminus":
-        a2, a1, a3 = spec.params
-        return ("h", a1, a2, a3)
-    if spec.kind == "udown":
-        return ("down", Fraction(1))
-    if spec.kind == "uup":
-        return ("up", Fraction(1))
-    a, b, c = spec.params
-    return ("plus", a, b, c)
 
 
 def integrate_closed(spec: HarmonicSpec, w: WeightVector) -> Fraction:

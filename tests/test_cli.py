@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from dendrite import cli, network
+
 BASE = [sys.executable, "-m", "dendrite.cli"]
 
 
@@ -82,6 +84,65 @@ def test_single_ball_runs(command):
     out = run_cli(command, "--n", "2..2")
     assert out.returncode == 0
     assert out.stdout.splitlines()[2].startswith("2,")
+
+
+def _main_counting_builds(monkeypatch, argv):
+    """Run the CLI in this process; return its exit code and the graphs it built."""
+    built = []
+    build = network.build_cells_graph
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(network, "build_cells_graph", counting)
+    return cli.main(argv), len(built)
+
+
+def test_build_counter_sees_ball_builds(monkeypatch):
+    code, builds = _main_counting_builds(
+        monkeypatch, ["exit-ratio", "--n", "1..2", "--level-offset", "2", "--summary", os.devnull]
+    )
+    assert code == 0 and builds > 0
+
+
+@pytest.mark.parametrize("command", ["exit-ratio", "ehi", "weh"])
+def test_ball_commands_refuse_s0_other_than_half(monkeypatch, capsys, command):
+    code, builds = _main_counting_builds(
+        monkeypatch, ["--s0", "1/3", command, "--n", "2..3", "--level-offset", "3"]
+    )
+    assert (code, builds) == (3, 0)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: ball subgraphs assume s0 = 1/2 (dyadic radii)"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["exit-ratio", "--n", "4,0", "--level-offset", "6"], "ball index n must be >= 1"),
+        (["ehi", "--n", "3,0"], "ball index n must be >= 1"),
+        (["weh", "--n", "2,0"], "ball index n must be >= 1"),
+        (["weh", "--rho", "1,0", "--n", "2..3"], "rho must be positive"),
+    ],
+    ids=["exit-ratio-n", "ehi-n", "weh-n", "weh-rho"],
+)
+def test_ball_commands_validate_before_building(monkeypatch, capsys, argv, message):
+    code, builds = _main_counting_builds(monkeypatch, argv)
+    assert (code, builds) == (3, 0)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["harmonics", "--kind", "uup", "--at", "002:1"], ["measure", "--integrate", "uup"]]
+)
+def test_uup_refuses_s0_other_than_half(argv):
+    out = run_cli("--s0", "1/3", *argv)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr.splitlines() == ["error: the upward ladder is only available at s0 = 1/2"]
 
 
 def test_graph_export(tmp_path):

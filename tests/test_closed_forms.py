@@ -1,8 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from dendrite.addressing import canonicalize
+from dendrite.addressing import canonicalize, raw_points, vertex_str
 from dendrite.closed_forms import (
     CoefficientCase,
     HarmonicSpec,
@@ -59,10 +60,11 @@ def test_energies():
     assert energy_closed(u_minus(HALF, 2, 5, -1)) == 9 + 36
 
 
-def test_uminus_matches_discrete_solve_everywhere():
-    g = build_level_graph(3)
+@pytest.mark.parametrize("s0", [HALF, Fraction(1, 3), Fraction(2, 5)], ids=str)
+def test_uminus_matches_discrete_solve_everywhere(s0):
+    g = build_level_graph(3, s0)
     a2, a1, a3 = Fraction(1, 3), Fraction(1), Fraction(-2, 7)
-    spec = u_minus(HALF, a2, a1, a3)
+    spec = u_minus(s0, a2, a1, a3)
     sol = solve_dirichlet(g, {Q1: a1, Q2: a2, Q3: a3})
     for v in g.vertices:
         assert eval_closed(spec, v) == sol[v]
@@ -119,13 +121,6 @@ def test_coefficient_recurrence_exact():
         assert 4 * seq[i + 1] - 9 * seq[i] + 2 * seq[i - 1] == 0
 
 
-def test_coefficient_quarter_values():
-    t = psi_coefficients(CoefficientCase("xmk", 1, m0=2, k0=1))
-    for m in range(-1, 2):
-        assert t.spine_quarter[m] == t.spine[m] / 4
-    assert t.branch_quarter[1] == t.branch[1] / 4
-
-
 def test_coefficient_case_validation():
     with pytest.raises(ValueError):
         CoefficientCase("yk", 1, k0=0)
@@ -133,3 +128,40 @@ def test_coefficient_case_validation():
         CoefficientCase("xmk", 0, m0=0, k0=0)
     with pytest.raises(ValueError):
         CoefficientCase("nope", 1)
+
+
+# sha256 of the lines "word:corner value" over every canonical point with
+# |word| <= 4 (513 points, in sorted order), recorded from the evaluator
+# that projected onto the spine in the resistance metric
+RECORDED = {
+    ("uminus", "1/2"): "9d966432f2af5c3758f9a1cb29e3ee3dc162858bd2ddd85ca19ff2d31b74dad8",
+    ("udown", "1/2"): "0b26d0fe6d5ba24dc7b1f2fd5a8001e65b33b0a7c00def0d4679331fa959bb53",
+    ("uplus", "1/2"): "4f7e6012d6247af44a0bf01f13b37177f813ae8ff62c1cb68ea30f96cba2569c",
+    ("uminus", "1/3"): "7a8f8e8d8c066fb007edf04ef2962f878931ebff7fdc44f37555e99ed8e6a4b0",
+    ("udown", "1/3"): "4cb0d52d325c6a95dd2678dc9b50ab2d1e042dfab8f072f86d4a0705dc49db48",
+    ("uplus", "1/3"): "882dee6e6eefd872d5b3fc02b056d353008a9721aeea4c128b9ba353dfa028e4",
+    ("uminus", "2/5"): "a1cabb7e484b0893135a6c281250a77d13c86aae3a54fdc07c5b828b779bf56f",
+    ("udown", "2/5"): "2d7c9a43d748ab1db7ff1a4f0a74e438640d1ed16ef966a08cf500f84a5ca33c",
+    ("uplus", "2/5"): "232fc567ebbfbd3495b3d5a3ca2ff11c92a4c0919fcd9919d523eba5753a5315",
+    ("uminus", "3/4"): "cb00b67d8b555f6af5ca3ba73b4156030292eaf45f879705b0255279c25b667f",
+    ("udown", "3/4"): "318d1b9c1e4b2267d582cec8c8eab798b75d83f2dc6e05af82ca2a40b287c11a",
+    ("uplus", "3/4"): "dd6085566fa050b8dcb2431ce7e825a728a4becf92d293348261f7a75733f4ab",
+    ("uup", "1/2"): "5e3651cfecf47a96b3cb156d75af27ae252ecf889c1029d8b6e946e4fa5c3c05",
+}
+
+
+def _recorded_spec(kind: str, s0: Fraction):
+    if kind == "uminus":
+        return u_minus(s0, Fraction(1, 3), 1, Fraction(-2, 7))
+    if kind == "uplus":
+        return u_plus(s0, Fraction(3, 4), Fraction(1, 2), Fraction(1, 8))
+    return u_down(s0) if kind == "udown" else u_up()
+
+
+def test_eval_closed_matches_recorded_values():
+    points = sorted({canonicalize(w, c) for w, c in raw_points(4)})
+    assert len(points) == 513
+    for (kind, s0), digest in RECORDED.items():
+        spec = _recorded_spec(kind, Fraction(s0))
+        lines = "".join(f"{vertex_str(v)} {eval_closed(spec, v)}\n" for v in points)
+        assert hashlib.sha256(lines.encode()).hexdigest() == digest, (kind, s0)

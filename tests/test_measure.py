@@ -102,7 +102,7 @@ def test_constant_integrates_to_itself():
 def test_self_similar_consistency_of_integration():
     # integrating the four rescaled pieces reproduces the whole integral
     integ = HarmonicIntegrator(SKEW)
-    from dendrite.measure import _state_children
+    from dendrite.closed_forms import _state_children
 
     for state in (("down", Fraction(1)), ("plus", Fraction(1), HALF, Fraction(1, 8))):
         total = integ.exact(state)
