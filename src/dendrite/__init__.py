@@ -29,6 +29,7 @@ from .dirichlet import (
     equilibrium_potential,
     green_g1,
     solve_dirichlet,
+    solve_on_ball,
 )
 from .measure import (
     IntegralBounds,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Optional
 
 ALPHABET = "0123"
@@ -113,19 +113,39 @@ def parse_vertex(text: str) -> Vertex:
     return canonicalize(word, corner)
 
 
+def addresses(v: Vertex) -> list[tuple[str, str]]:
+    """The addresses of a lattice point, as (word, tails) pairs.
+
+    A pair names the infinite words word t1 t2 ... with every t_i in
+    tails: F_w(q1) is w{0,1}^inf, F_w(q2) is w2^inf and F_w(q3) is w3^inf.
+    Junction points carry one extra address: k2 q1 = k0 q2, k3 q1 = k1 q3.
+    """
+    word, corner = canonicalize(*v)
+    out = [(word, {1: "01", 2: "2", 3: "3"}[corner])]
+    if corner == 1 and word.endswith("2"):
+        out.append((word[:-1] + "0", "2"))
+    elif corner == 1 and word.endswith("3"):
+        out.append((word[:-1] + "1", "3"))
+    return out
+
+
 def in_cell(v: Vertex, cell: str) -> bool:
     """Whether the lattice point lies in the closed cell K_cell."""
-    word, corner = canonicalize(*v)
-    tails = {1: "01", 2: "2", 3: "3"}[corner]
-    if _prefix_matches(word, tails, cell):
-        return True
-    # junction points carry one extra address: k2 q1 = k0 q2, k3 q1 = k1 q3
-    if corner == 1 and word:
-        if word.endswith("2"):
-            return _prefix_matches(word[:-1] + "0", "2", cell)
-        if word.endswith("3"):
-            return _prefix_matches(word[:-1] + "1", "3", cell)
-    return False
+    return any(_prefix_matches(word, tails, cell) for word, tails in addresses(v))
+
+
+def on_cantor_piece(v: Vertex, prefix: str) -> bool:
+    """Whether a lattice point lies on F_prefix(Cantor set) = prefix{2,3}^inf.
+
+    Some address must enter K_prefix and use only the digits 2 and 3
+    after the prefix; the junction addresses are how the left endpoints
+    of branch pieces show up.
+    """
+    return any(
+        _all_in(tails, "23") and _prefix_matches(word, tails, prefix)
+        and _all_in(word[len(prefix):], "23")
+        for word, tails in addresses(v)
+    )
 
 
 def _prefix_matches(word: str, tails: str, cell: str) -> bool:
@@ -180,17 +200,7 @@ def _all_in(text: str, allowed: str) -> bool:
 
 
 def words_of_length(length: int) -> Iterable[str]:
-    if length == 0:
-        yield ""
-        return
-    stack = [""]
-    while stack:
-        w = stack.pop()
-        if len(w) == length:
-            yield w
-        else:
-            for d in reversed(ALPHABET):
-                stack.append(w + d)
+    yield from map("".join, product(ALPHABET, repeat=length))
 
 
 def raw_points(max_len: int) -> Iterable[tuple[str, int]]:

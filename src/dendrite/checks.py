@@ -623,7 +623,6 @@ def check_exit_monotone():
 def check_superposition():
     n, level = 2, 6
     g = ball_graph(n, level)
-    region = ball(g, Q0, Fraction(1, 4))
     p1 = BoundaryProfile("upper", m=0, k=1)
     p2 = BoundaryProfile("lower", k=1)
     mix = BoundaryProfile("mixture", parts=((p1, Fraction(2, 3)), (p2, Fraction(5, 1))))

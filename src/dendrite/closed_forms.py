@@ -6,8 +6,9 @@ self-similar: on each cell such a function is fixed by a small cell
 state, and the states of a cell's four children follow from its own
 through the harmonic extension maps.  That one recursion,
 `_state_children`, is how `eval_closed` evaluates the functions (descend
-along the point's word) and how `measure` refines them for certified
-integrals.  The functions and the explicit spine/branch coefficient
+along the point's word), how `measure` refines them for certified
+integrals, and where `measure.extension_matrices` reads the harmonic
+extension maps.  The functions and the explicit spine/branch coefficient
 tables act as exact oracles against the discrete solver.
 """
 
@@ -100,12 +101,8 @@ def _state_children(state, s0: Fraction):
         )
     if kind == "down":
         s = state[1]
-        return (
-            ("h", s, s * lam, s),
-            ("h", s, s, s * lam),
-            ("down", s * lam),
-            ("down", s * lam),
-        )
+        t = s * lam
+        return (("h", s, t, s), ("h", s, s, t), ("down", t), ("down", t))
     if kind == "plus":
         _, a, b, c = state
         mid = s0 * a + s2 * b
@@ -117,12 +114,9 @@ def _state_children(state, s0: Fraction):
         )
     if kind == "up":
         s = state[1]
-        return (
-            ("up", s / 4),
-            ("h", Fraction(0), Fraction(0), Fraction(0)),
-            ("plus", s, s / 4, s / 16),
-            ("h", Fraction(0), Fraction(0), Fraction(0)),
-        )
+        t = s / 4
+        zero = ("h", Fraction(0), Fraction(0), Fraction(0))
+        return (("up", t), zero, ("plus", s, t, t / 4), zero)
     raise ValueError(f"unknown cell state {kind!r}")
 
 

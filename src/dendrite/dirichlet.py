@@ -160,6 +160,14 @@ def dirichlet_energy(graph: Network, f: VertexFunction):
     return total
 
 
+def _potential(graph: Network, low, high, mode: str):
+    """The potential pinned to 0 on `low` and 1 on `high`, and 1 / its energy."""
+    pinned = {v: 0 for v in low}
+    pinned.update({v: 1 for v in high})
+    u = solve_dirichlet(graph, pinned, mode=mode)
+    return u, 1 / dirichlet_energy(graph, u)
+
+
 def effective_resistance(graph: Network, a, b, mode: str = "exact"):
     """1 / inf{ E(u) : u = 0 on A, u = 1 on B }."""
     a = {canonicalize(*v) for v in a}
@@ -168,11 +176,7 @@ def effective_resistance(graph: Network, a, b, mode: str = "exact"):
         raise ValueError("both vertex sets must be nonempty")
     if a & b:
         raise ValueError("vertex sets must be disjoint")
-    pinned = {v: 0 for v in a}
-    pinned.update({v: 1 for v in b})
-    u = solve_dirichlet(graph, pinned, mode=mode)
-    e = dirichlet_energy(graph, u)
-    return 1 / e if mode == "exact" else 1.0 / e
+    return _potential(graph, a, b, mode)[1]
 
 
 def equilibrium_potential(graph: Network, x: Vertex, grounded, mode: str = "exact"):
@@ -181,11 +185,19 @@ def equilibrium_potential(graph: Network, x: Vertex, grounded, mode: str = "exac
     grounded = {canonicalize(*v) for v in grounded}
     if x in grounded:
         raise ValueError("source vertex is grounded")
-    pinned = {v: 0 for v in grounded}
-    pinned[x] = 1
-    psi = solve_dirichlet(graph, pinned, mode=mode)
-    e = dirichlet_energy(graph, psi)
-    return psi, (1 / e if mode == "exact" else 1.0 / e)
+    return _potential(graph, grounded, [x], mode)
+
+
+def solve_on_ball(
+    region: BallRegion,
+    boundary: Mapping[Vertex, object],
+    masses: Optional[Mapping[Vertex, object]] = None,
+    mode: str = "exact",
+) -> VertexFunction:
+    """Dirichlet problem on an open ball, pinned to `boundary` (0 where unset) off the ball."""
+    interior = region.interior
+    pinned = {v: boundary.get(v, 0) for v in region.graph.vertices if v not in interior}
+    return solve_dirichlet(region.graph, pinned, masses=masses, mode=mode)
 
 
 def green_g1(
@@ -195,18 +207,12 @@ def green_g1(
     mode: str = "exact",
 ) -> VertexFunction:
     """Discrete Green problem on a ball: zero on the frontier, Laplacian = mass inside."""
+    if graph is not region.graph:
+        raise ValueError("the region lies on another graph")
     interior = region.interior
     for v in masses:
         if v not in interior and canonicalize(*v) not in interior:
             raise ValueError(f"mass on non-interior vertex {vertex_str(v)}")
-    pinned = {v: 0 for v in region.frontier}
-    if not pinned:
+    if not region.frontier:
         raise ValueError("ball has empty frontier; enlarge the level or shrink the radius")
-    # vertices outside the closed ball (beyond the frontier) stay at zero
-    outside = {
-        v: 0
-        for v in graph.vertices
-        if v not in interior and v not in region.frontier
-    }
-    pinned.update(outside)
-    return solve_dirichlet(graph, pinned, masses=masses, mode=mode)
+    return solve_on_ball(region, {}, masses=masses, mode=mode)

@@ -69,6 +69,15 @@ class TypicalPoint:
         raise ValueError(f"unknown typical point kind {self.kind!r}")
 
 
+def q0_ball(n: int, level: int, graph: Optional[LevelGraph] = None) -> BallRegion:
+    """The ball B(q0, 2^-n) on `graph`, which must have this level, or on a new ball graph."""
+    if graph is None:
+        graph = ball_graph(n, level)
+    elif graph.level != level:
+        raise ValueError(f"graph has level {graph.level}, not the requested level {level}")
+    return ball(graph, Q0, Fraction(1, 2**n))
+
+
 def boundary_resistance(
     x: Vertex, n: int, level: int, graph: Optional[LevelGraph] = None, mode: str = "exact"
 ):
@@ -77,12 +86,11 @@ def boundary_resistance(
     Returns (region, psi, R).  R decreases in the level toward the
     continuum resistance.
     """
-    graph = graph or ball_graph(n, level)
-    region = ball(graph, Q0, Fraction(1, 2**n))
+    region = q0_ball(n, level, graph)
     x = canonicalize(*x)
     if x not in region.interior:
         raise ValueError(f"{vertex_str(x)} is not interior to the ball")
-    psi, r = equilibrium_potential(graph, x, region.frontier, mode=mode)
+    psi, r = equilibrium_potential(region.graph, x, region.frontier, mode=mode)
     return region, psi, r
 
 
@@ -158,8 +166,8 @@ def network_reduce(
     resistance and potential values are exact when x lies on the arc.
     """
     x = canonicalize(*x)
-    graph = graph or ball_graph(n, level)
-    region = ball(graph, Q0, Fraction(1, 2**n))
+    region = q0_ball(n, level, graph)
+    graph = region.graph
     if x not in region.interior:
         raise ValueError(f"{vertex_str(x)} is not interior to the ball")
     z_l, z_r = locate_reduction_nodes(x, n)
@@ -193,12 +201,10 @@ def network_reduce(
     )
 
 
-def region_cell_masses(
-    w: WeightVector, region: BallRegion, p: Optional[tuple] = None
-) -> dict[Vertex, Fraction]:
-    """Ball mass lumped onto interior lattice points, corner-weighted by p."""
+def region_cell_masses(w: WeightVector, region: BallRegion) -> dict[Vertex, Fraction]:
+    """Ball mass lumped onto interior lattice points, corner-weighted by `harmonic_weights`."""
     graph = region.graph
-    p = p or harmonic_weights(w, graph.s0)
+    p = harmonic_weights(w, graph.s0)
     inside, straddle = classify_region_cells(region)
     # a cell's share at each corner, by the cell's digits in {0,1}
     shares = [[mu * pj for pj in p] for mu in cell_measure_table(w, graph.level)]
@@ -220,10 +226,9 @@ def exit_time_profile(
     mode: str = "float",
 ) -> tuple[BallRegion, VertexFunction]:
     """Discrete mean exit time G1 on the ball B(q0, 2^-n)."""
-    graph = graph or ball_graph(n, level)
-    region = ball(graph, Q0, Fraction(1, 2**n))
+    region = q0_ball(n, level, graph)
     masses = region_cell_masses(w, region)
-    g1 = green_g1(graph, region, masses, mode=mode)
+    g1 = green_g1(region.graph, region, masses, mode=mode)
     return region, g1
 
 
@@ -240,8 +245,8 @@ def g1_via_identity(
     bracketed by per-cell corner bounds, and the corner-weighted exact
     pairing (equal to the direct Green solve) sits inside.
     """
-    graph = graph or ball_graph(n, level)
     region, psi, r = boundary_resistance(x, n, level, graph=graph, mode="exact")
+    graph = region.graph
     inside, straddle = classify_region_cells(region)
     p = harmonic_weights(w, graph.s0)
     table = cell_measure_table(w, graph.level)

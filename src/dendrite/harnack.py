@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .addressing import Q0, Vertex, canonicalize
-from .dirichlet import VertexFunction, solve_dirichlet
-from .exit_time import fit_log2_slope
+from .addressing import on_cantor_piece
+from .dirichlet import VertexFunction, solve_on_ball
+from .exit_time import fit_log2_slope, q0_ball
 from .measure import WeightVector, cell_measure_table, classify_region_cells
-from .network import BallRegion, LevelGraph, ball, ball_graph, radius_crossings
+from .network import BallRegion, LevelGraph, radius_crossings
 from .reduction import x_point_word
 
 
@@ -48,35 +48,6 @@ class BoundaryProfile:
         raise ValueError("mixtures have no single piece")
 
 
-def _address_on_piece(word: str, tail: str, prefix: str) -> bool:
-    # does the address word + tail^infinity lie in prefix + {2,3}^infinity?
-    if len(word) >= len(prefix):
-        return word.startswith(prefix) and all(c in "23" for c in word[len(prefix):])
-    return (
-        prefix.startswith(word)
-        and all(c == tail for c in prefix[len(word):])
-        and tail in "23"
-    )
-
-
-def on_cantor_piece(v: Vertex, prefix: str) -> bool:
-    """Whether a lattice point lies on F_prefix(Cantor set).
-
-    Corner-2/3 points carry the address word + corner^inf; junction points
-    F_{k2}(q1) = F_{k0}(q2) and F_{k3}(q1) = F_{k1}(q3) additionally carry
-    the alternate address through their bottom-corner form, which is how
-    the left endpoints of branch pieces show up.
-    """
-    word, corner = canonicalize(*v)
-    if corner in (2, 3):
-        return _address_on_piece(word, str(corner), prefix)
-    if word.endswith("2"):
-        return _address_on_piece(word[:-1] + "0", "2", prefix)
-    if word.endswith("3"):
-        return _address_on_piece(word[:-1] + "1", "3", prefix)
-    return False  # q1 itself: addresses end in {0,1} digits only
-
-
 def piece_boundary_values(region: BallRegion, profile: BoundaryProfile, n: int):
     if profile.kind == "mixture":
         values = {v: Fraction(0) for v in region.frontier}
@@ -102,14 +73,8 @@ def boundary_harmonic(
     """Harmonic function on B(q0, 2^-n) with the profile's frontier data."""
     if profile.kind != "mixture" and level < n + profile.k + 3:
         raise ValueError("level too small to resolve the boundary piece")
-    graph = graph or ball_graph(n, level)
-    region = ball(graph, Q0, Fraction(1, 2**n))
-    pinned = dict(piece_boundary_values(region, profile, n))
-    # vertices beyond the frontier do not influence the ball solve
-    for v in graph.vertices:
-        if v not in region.interior and v not in pinned:
-            pinned[v] = Fraction(0)
-    sol = solve_dirichlet(graph, pinned, mode=mode)
+    region = q0_ball(n, level, graph)
+    sol = solve_on_ball(region, piece_boundary_values(region, profile, n), mode=mode)
     return region, sol
 
 
@@ -138,7 +103,6 @@ def ehi_ratio(
     k: int,
     epsilon: Fraction,
     level: int,
-    graph: Optional[LevelGraph] = None,
 ) -> dict:
     """inf/sup collapse of the branch-piece harmonic over epsilon-shrunken balls.
 
@@ -148,7 +112,7 @@ def ehi_ratio(
     if not 0 < epsilon <= Fraction(1, 2):
         raise ValueError("epsilon must lie in (0, 1/2]")
     profile = BoundaryProfile("lower", k=k)
-    region, sol = boundary_harmonic(n, profile, level, graph=graph)
+    region, sol = boundary_harmonic(n, profile, level)
     lo, hi = extrema_over_subball(region, sol, epsilon * Fraction(1, 2**n))
     model = 1.0 / (float(2**n * epsilon) + 1.0)
     return {
@@ -187,7 +151,6 @@ def weh_ratio(
     w: WeightVector,
     profile: BoundaryProfile,
     level: int,
-    graph: Optional[LevelGraph] = None,
 ) -> HarnackReport:
     """Certified mean of u^delta over the half ball against its infimum there.
 
@@ -197,8 +160,8 @@ def weh_ratio(
     delta = Fraction(delta)
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
-    graph = graph or ball_graph(n, level)
-    region, sol = boundary_harmonic(n, profile, level, graph=graph)
+    region, sol = boundary_harmonic(n, profile, level)
+    graph = region.graph
     half = Fraction(1, 2**(n + 1))
     inside, straddle = classify_region_cells(region, radius=half)
     full = set(inside)

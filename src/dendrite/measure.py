@@ -99,15 +99,17 @@ class IntegralBounds:
 
 
 def extension_matrices(s0: Fraction):
-    """V0 -> V1 harmonic extension maps: values at F_i(V0) from values on V0."""
+    """V0 -> V1 harmonic extension maps, read off `_state_children` for unit corner data.
+
+    Row j of A_i gives the value at F_i(q_j) from the values at q1, q2, q3.
+    """
     s0 = Fraction(s0)
-    s2 = 1 - s0
-    one, zero = Fraction(1), Fraction(0)
-    a0 = ((one, zero, zero), (s2, s0, zero), (one, zero, zero))
-    a1 = ((one, zero, zero), (one, zero, zero), (s2, zero, s0))
-    a2 = ((s2, s0, zero), (zero, one, zero), (s2, s0, zero))
-    a3 = ((s2, zero, s0), (s2, zero, s0), (zero, zero, one))
-    return (a0, a1, a2, a3)
+    units = [("h", *(Fraction(int(j == k)) for j in range(3))) for k in range(3)]
+    columns = [_state_children(unit, s0) for unit in units]
+    return tuple(
+        tuple(tuple(columns[k][i][1 + j] for k in range(3)) for j in range(3))
+        for i in range(4)
+    )
 
 
 def _row_times_matrix(row, matrix):
@@ -170,6 +172,11 @@ def subdivision_quadrature_row(w: WeightVector, depth: int, s0: Fraction = Fract
 # piecewise-harmonic cell states (their recursion lives in closed_forms)
 
 
+# the certified refinement stops at this relative gap, or after this many cells
+REL_GAP = Fraction(1, 10_000)
+MAX_CELLS = 60_000
+
+
 def _state_range(state):
     kind = state[0]
     if kind == "h":
@@ -227,8 +234,7 @@ class HarmonicIntegrator:
             return state[1] * w2 * per / (1 - w0 / 4)
         raise ValueError(f"unknown cell state {kind!r}")
 
-    def bounds(self, state, max_depth: int = 12, rel_gap: Fraction = Fraction(1, 10_000),
-               max_cells: int = 60_000) -> IntegralBounds:
+    def bounds(self, state, max_depth: int = 12) -> IntegralBounds:
         """Adaptive certified bounds: refine the cells with the worst gap first."""
         lo = Fraction(0)
         hi = Fraction(0)
@@ -246,10 +252,10 @@ class HarmonicIntegrator:
 
         push(state, Fraction(1), 0)
         wt = self.w.as_tuple()
-        while heap and counter < max_cells:
+        while heap and counter < MAX_CELLS:
             mid = abs(lo + hi) / 2
             gap = hi - lo
-            if gap <= rel_gap * mid or (mid == 0 and gap <= rel_gap):
+            if gap <= REL_GAP * mid or (mid == 0 and gap <= REL_GAP):
                 break
             neg_gap, _, st, mu, depth = heapq.heappop(heap)
             if depth >= max_depth:
@@ -270,15 +276,10 @@ def integrate_closed(spec: HarmonicSpec, w: WeightVector) -> Fraction:
 
 
 def integrate_pw_harmonic(
-    spec: HarmonicSpec,
-    w: WeightVector,
-    max_depth: int = 12,
-    rel_gap: Fraction = Fraction(1, 10_000),
+    spec: HarmonicSpec, w: WeightVector, max_depth: int = 12
 ) -> IntegralBounds:
     """Certified interval for the integral, refined cell-by-cell."""
-    return HarmonicIntegrator(w, spec.s0).bounds(
-        _spec_state(spec), max_depth=max_depth, rel_gap=rel_gap
-    )
+    return HarmonicIntegrator(w, spec.s0).bounds(_spec_state(spec), max_depth=max_depth)
 
 
 # ---------------------------------------------------------------------------

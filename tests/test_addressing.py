@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import combinations
 
@@ -9,8 +10,10 @@ from dendrite.addressing import (
     canonicalize,
     cell_intersection,
     coords,
+    addresses,
     in_cell,
     meeting_cell_pairs,
+    on_cantor_piece,
     parse_vertex,
     raw_points,
     vertex_str,
@@ -124,6 +127,14 @@ def test_in_cell_membership():
     assert not in_cell(("", 2), "0")
 
 
+def test_addresses_list_the_junction_address():
+    assert addresses(("2", 1)) == [("2", "01"), ("0", "2")]  # q0 = F_2(q1) = F_0(q2)
+    assert addresses(("13", 1)) == [("13", "01"), ("11", "3")]
+    assert addresses(("0", 2)) == [("2", "01"), ("0", "2")]  # given in raw form
+    assert addresses(("", 1)) == [("", "01")]
+    assert addresses(("02", 3)) == [("02", "3")]
+
+
 def test_meeting_cell_pairs_match_brute_force():
     for d, pairs in enumerate(meeting_cell_pairs(3), 1):
         words = list(words_of_length(d))
@@ -134,3 +145,20 @@ def test_meeting_cell_pairs_match_brute_force():
                 brute.add((min(a, b), max(a, b), hit.point))
         assert len(pairs) == len(set(pairs))
         assert set(pairs) == brute
+
+
+# sha256 of the in_cell and on_cantor_piece truth tables over the normal
+# forms of the raw points with |word| <= 4 against the words of length <= 4,
+# recorded before the two predicates were made to read one address list
+ADDRESS_TABLES_SHA256 = "ca8bee1eab680111f5cfd3cff90d07cc98ebf23f52fed79ade995c363c53912e"
+
+
+def test_address_truth_tables_match_recorded_digest():
+    points = sorted({canonicalize(w, c) for w, c in raw_points(4)})
+    words = [w for n in range(5) for w in words_of_length(n)]
+    digest = hashlib.sha256()
+    for v in points:
+        digest.update(bytes(in_cell(v, w) for w in words))
+        digest.update(bytes(on_cantor_piece(v, w) for w in words))
+    assert (len(points), len(words)) == (513, 341)
+    assert digest.hexdigest() == ADDRESS_TABLES_SHA256

@@ -11,6 +11,7 @@ from dendrite.dirichlet import (
     equilibrium_potential,
     green_g1,
     solve_dirichlet,
+    solve_on_ball,
 )
 from dendrite.network import ball, ball_graph, build_level_graph
 
@@ -122,6 +123,21 @@ def test_green_mass_on_frontier_rejected():
     frontier_v = next(iter(region.frontier))
     with pytest.raises(ValueError):
         green_g1(g, region, {frontier_v: 1})
+
+
+def test_green_refuses_a_region_of_another_graph():
+    region = ball(ball_graph(1, 4), Q0, HALF)
+    with pytest.raises(ValueError):
+        green_g1(ball_graph(1, 4), region, {})
+
+
+def test_solve_on_ball_pins_everything_outside_the_ball():
+    g = ball_graph(1, 4)
+    region = ball(g, Q0, HALF)
+    sol = solve_on_ball(region, {v: 1 for v in region.frontier}, mode="exact")
+    outside = set(g.vertices) - region.interior - region.frontier
+    assert outside and all(sol[v] == 0 for v in outside)
+    assert all(sol[v] == 1 for v in region.interior | region.frontier)
 
 
 def test_float_mode_matches_exact():

@@ -15,7 +15,9 @@ from dendrite.exit_time import (
     g1_via_identity,
     locate_reduction_nodes,
     network_reduce,
+    q0_ball,
 )
+from dendrite.harnack import BoundaryProfile, boundary_harmonic
 from dendrite.measure import WeightVector
 from dendrite.metric import Metric
 from dendrite.network import ball, ball_graph
@@ -129,6 +131,26 @@ def test_network_reduce_degenerate_center():
     red = network_reduce(Q0, 1, 6, graph=g)
     _, _, r = boundary_resistance(Q0, 1, 6, graph=g, mode="float")
     assert red.resistance == pytest.approx(r, rel=1e-12)
+
+
+# every entry point that takes the ball graph B(q0, 1/2) at level 6
+BALL_ENTRY_POINTS = {
+    "q0_ball": lambda g: q0_ball(1, 6, g),
+    "boundary_resistance": lambda g: boundary_resistance(Q0, 1, 6, graph=g, mode="float"),
+    "network_reduce": lambda g: network_reduce(("22", 1), 1, 6, graph=g),
+    "exit_time_profile": lambda g: exit_time_profile(1, EQUAL, 6, graph=g),
+    "g1_via_identity": lambda g: g1_via_identity(Q0, 1, EQUAL, 6, graph=g),
+    "boundary_harmonic": lambda g: boundary_harmonic(1, BoundaryProfile("lower", k=1), 6, graph=g),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BALL_ENTRY_POINTS))
+def test_ball_entry_points_refuse_a_graph_of_another_level(entry):
+    call = BALL_ENTRY_POINTS[entry]
+    for wrong in (5, 7):
+        with pytest.raises(ValueError, match="graph has level"):
+            call(ball_graph(1, wrong))
+    call(ball_graph(1, 6))
 
 
 def test_dichotomy_window():

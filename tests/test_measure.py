@@ -15,6 +15,7 @@ from dendrite.measure import (
     cell_measure_table,
     classify_region_cells,
     doubling_ratio,
+    extension_matrices,
     harmonic_weights,
     integrate_closed,
     integrate_pw_harmonic,
@@ -69,6 +70,26 @@ def test_harmonic_weights_vs_subdivision_oracle():
         p = harmonic_weights(w)
         row = subdivision_quadrature_row(w, 10)
         assert all(abs(float(p[j] - row[j])) < 1e-6 for j in range(3))
+
+
+def _literal_extension_matrices(s0):
+    # the V0 -> V1 maps as literal matrices: row j of A_i gives the value
+    # at F_i(q_j) from the values at q1, q2, q3
+    s2 = 1 - s0
+    one, zero = Fraction(1), Fraction(0)
+    return (
+        ((one, zero, zero), (s2, s0, zero), (one, zero, zero)),
+        ((one, zero, zero), (one, zero, zero), (s2, zero, s0)),
+        ((s2, s0, zero), (zero, one, zero), (s2, s0, zero)),
+        ((s2, zero, s0), (s2, zero, s0), (zero, zero, one)),
+    )
+
+
+@pytest.mark.parametrize("s0", [HALF, Fraction(1, 3), Fraction(2, 5), Fraction(3, 4)])
+def test_extension_matrices_match_literal_maps(s0):
+    got = extension_matrices(s0)
+    assert got == _literal_extension_matrices(s0)
+    assert all(type(x) is Fraction for a in got for row in a for x in row)
 
 
 def test_hat_integral_is_p1():
