@@ -24,7 +24,7 @@ from .dirichlet import (
     green_g1,
     solve_dirichlet,
 )
-from .exit_time import boundary_resistance, exit_ratio_experiment, fit_log2_slope
+from .exit_time import boundary_resistance, exit_ratio_experiment, fit_log2_slope, q0_ball
 from .harnack import BoundaryProfile, boundary_harmonic, ehi_slope, weh_threshold_scan
 from .measure import (
     WeightVector,
@@ -180,8 +180,7 @@ def check_ball_regions():
         big = ball(g, Q0, r2)
         if not small.interior <= big.interior:
             return False, "ball interiors not monotone in the radius"
-    g5 = ball_graph(2, 5)
-    region = ball(g5, Q0, Fraction(1, 4))
+    region = q0_ball(2, 5)
     apex = canonicalize("02", 1)
     if apex not in region.frontier:
         return False, "apex missing from the n=2 frontier"
@@ -275,14 +274,13 @@ def check_green_identity(tol: float = 0.05):
 
 
 def check_green_symmetry(seed: int = 2):
-    g = ball_graph(1, 5)
-    region = ball(g, Q0, HALF)
+    region = q0_ball(1, 5)
     interior = sorted(region.interior)
     rng = random.Random(seed)
     for _ in range(6):
         x, y = rng.choice(interior), rng.choice(interior)
-        gx = green_g1(g, region, {x: 1}, mode="exact")
-        gy = green_g1(g, region, {y: 1}, mode="exact")
+        gx = green_g1(region, {x: 1}, mode="exact")
+        gy = green_g1(region, {y: 1}, mode="exact")
         if gx[y] != gy[x]:
             return False, f"Green matrix asymmetric at {x},{y}"
     return True, "sampled Green matrix entries are symmetric"
@@ -520,17 +518,13 @@ def check_doubling():
 
 def check_ball_measures():
     w = WeightVector.equal()
-    g = ball_graph(1, 8)
-    region = ball(g, Q0, HALF)
-    b = measure.ball_measure(w, region)
+    b = measure.ball_measure(w, q0_ball(1, 8))
     third = Fraction(1, 3)
     if not b.lower <= third <= b.upper:
         return False, "B(q0,1/2) measure bounds exclude 1/3"
     if b.upper / b.lower > Fraction(11, 10):
         return False, "B(q0,1/2) bounds too loose at level 8"
-    g2 = ball_graph(2, 8)
-    region2 = ball(g2, Q0, Fraction(1, 4))
-    b2 = measure.ball_measure(w, region2)
+    b2 = measure.ball_measure(w, q0_ball(2, 8))
     if b2.upper / b2.lower > Fraction(11, 10):
         return False, "B(q0,1/4) bounds ratio exceeds 1.1 at level 8"
     generic = measure.measure_ball_bounds(Q0, HALF, w, max_depth=9)
@@ -576,14 +570,13 @@ def check_dichotomy_window():
     vals = []
     for n in (1, 2, 3, 4):
         level = n + 5
-        g = ball_graph(n, level)
-        region = ball(g, Q0, Fraction(1, 2**n))
+        region = q0_ball(n, level)
         rng = random.Random(n)
         interior = sorted(region.interior)
         picks = [interior[rng.randrange(len(interior))] for _ in range(8)]
         for x in picks:
             d0 = metric.dist(x, Q0)
-            _, _, r = boundary_resistance(x, n, level, graph=g, mode="float")
+            _, _, r = boundary_resistance(x, n, level, graph=region.graph, mode="float")
             model = min(
                 Fraction(1, 2**n) - d0, d0 + Fraction(1, 4**n)
             )
@@ -637,8 +630,8 @@ def check_superposition():
 
 def check_decomposition():
     n, level = 2, 6
-    g = ball_graph(n, level)
-    region = ball(g, Q0, Fraction(1, 4))
+    region = q0_ball(n, level)
+    g = region.graph
     upper_parts = [(BoundaryProfile("upper", m=m, k=1), 1) for m in range(level - n)]
     lower_parts = [
         (BoundaryProfile("lower", branch=format(b, f"0{n-1}b"), k=0), 1)
@@ -669,22 +662,25 @@ def check_ehi(tol: float = 0.25):
 
 
 def check_weh_threshold():
-    table = {}
+    rows = []
     for delta in (HALF, Fraction(1)):
-        rows = weh_threshold_scan(
+        scan = weh_threshold_scan(
             delta, [HALF, Fraction(1), Fraction(3, 2), Fraction(2)], range(2, 6)
         )
-        for row in rows:
-            table[(float(delta), row["rho"])] = row
-        growths = [row["growth_range"] for row in rows]
+        growths = [row["growth_range"] for row in scan]
         if any(b < a - 0.08 for a, b in zip(growths, growths[1:])):
             return False, f"growth not monotone in rho at delta={delta}: {growths}"
-    for (delta, rho), row in table.items():
+        rows += scan
+    growth = "growth over n=2..5: " + ", ".join(
+        f"d={row['delta']} rho={row['rho']}: x{row['growth_range']:.2f}" for row in rows
+    )
+    for row in rows:
+        delta, rho = row["delta"], row["rho"]
         if rho <= 1 and row["growth_range"] > 1.15:
-            return False, f"bounded side fails at delta={delta}, rho={rho}"
+            return False, f"bounded side fails at delta={delta}, rho={rho}; {growth}"
         if rho > 1 and row["growth_range"] < 0.8 * rho:
-            return False, f"growth side fails at delta={delta}, rho={rho}"
-    return True, "threshold scan: bounded for rho<=1, growing by >=0.8 rho for rho in {3/2,2}"
+            return False, f"growth side fails at delta={delta}, rho={rho}; {growth}"
+    return True, "threshold scan: bounded for rho<=1, growing by >=0.8 rho for rho in {3/2,2}; " + growth
 
 
 def check_weh_lower_piece():
@@ -756,11 +752,21 @@ SUITES = {
 }
 
 
-def run_suite(name: str = "all", verbose: bool = True) -> bool:
-    """Run one suite's checks, or all of them.
+def run_check(suite: str, label: str) -> tuple[bool, str, float]:
+    """(ok, detail, seconds) of one named check; a crash fails it and prints its traceback to stderr."""
+    fn = dict(SUITES[suite])[label]
+    t0 = time.perf_counter()
+    try:
+        ok, detail = fn()
+    except Exception as exc:  # a crashed check is a failed check
+        ok, detail = False, f"exception: {exc!r}"
+        print(f"{suite}/{label} crashed:", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+    return ok, detail, time.perf_counter() - t0
 
-    A crashed check counts as failed; its traceback goes to stderr.
-    """
+
+def run_suite(name: str = "all") -> bool:
+    """Run one suite's checks, or all of them, printing one line per check."""
     if name == "all":
         names = list(SUITES)
     elif name in SUITES:
@@ -769,16 +775,8 @@ def run_suite(name: str = "all", verbose: bool = True) -> bool:
         raise ValueError(f"unknown suite {name!r}; choose from {['all'] + list(SUITES)}")
     ok_all = True
     for suite in names:
-        for label, fn in SUITES[suite]:
-            t0 = time.time()
-            try:
-                ok, detail = fn()
-            except Exception as exc:  # a crashed check is a failed check
-                ok, detail = False, f"exception: {exc!r}"
-                print(f"{suite}/{label} crashed:", file=sys.stderr)
-                traceback.print_exc(file=sys.stderr)
+        for label, _ in SUITES[suite]:
+            ok, detail, seconds = run_check(suite, label)
             ok_all &= ok
-            if verbose:
-                status = "PASS" if ok else "FAIL"
-                print(f"[{status}] {suite}/{label} ({time.time() - t0:.1f}s): {detail}")
+            print(f"[{'PASS' if ok else 'FAIL'}] {suite}/{label} ({seconds:.1f}s): {detail}")
     return ok_all

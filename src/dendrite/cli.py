@@ -29,7 +29,7 @@ from .closed_forms import (
     u_up,
 )
 from .dirichlet import effective_resistance
-from .exit_time import exit_ratio_experiment
+from .exit_time import exit_ratio_experiment, q0_ball
 from .harnack import ehi_slope, weh_threshold_scan
 from .measure import (
     WeightVector,
@@ -40,7 +40,7 @@ from .measure import (
     integrate_pw_harmonic,
 )
 from .metric import Metric
-from .network import CapacityError, ball, ball_graph, build_level_graph
+from .network import CapacityError, build_level_graph
 
 
 DEFAULT_MAX_LEVEL = 12
@@ -118,14 +118,19 @@ def _parse_range(text: str) -> list[int]:
     return values
 
 
+def _require_dyadic(cfg: RunConfig):
+    """Balls B(q0, 2^-n) are built on the dyadic lattice, s0 = 1/2."""
+    if cfg.s0 != Fraction(1, 2):
+        raise ValueError("ball subgraphs assume s0 = 1/2 (dyadic radii)")
+
+
 def _checked_n_range(args, cfg: RunConfig) -> list[int]:
     """The --n values of a ball experiment, each checked at level n + offset.
 
     Ball experiments run on the dyadic balls B(q0, 2^-n), so they also need
     s0 = 1/2 and every n >= 1; all of it is checked before any ball is built.
     """
-    if cfg.s0 != Fraction(1, 2):
-        raise ValueError("ball subgraphs assume s0 = 1/2 (dyadic radii)")
+    _require_dyadic(cfg)
     n_values = _parse_range(args.n)
     for n in n_values:
         if n < 1:
@@ -180,11 +185,9 @@ def cmd_resistance(args, cfg: RunConfig) -> int:
 
 
 def cmd_ball(args, cfg: RunConfig) -> int:
-    level = args.level
-    _check_level(level, cfg)
-    radius = Fraction(1, 2**args.n)
-    g = ball_graph(args.n, level, cfg.s0)
-    region = ball(g, ("2", 1), radius)
+    _check_level(args.level, cfg)
+    _require_dyadic(cfg)
+    region = q0_ball(args.n, args.level)
     mu = ball_measure(cfg.weights, region)
     rows = [
         ["interior", len(region.interior)],
@@ -310,6 +313,8 @@ def cmd_weh(args, cfg: RunConfig) -> int:
 
 def cmd_doubling(args, cfg: RunConfig) -> int:
     n_values = _parse_range(args.n)
+    if min(n_values) < 0:
+        raise ValueError("doubling index n must be >= 0")
     metric = Metric(cfg.s0)
     table = []
     for n in n_values:

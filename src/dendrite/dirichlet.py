@@ -201,14 +201,11 @@ def solve_on_ball(
 
 
 def green_g1(
-    graph: Network,
     region: BallRegion,
     masses: Mapping[Vertex, object],
     mode: str = "exact",
 ) -> VertexFunction:
     """Discrete Green problem on a ball: zero on the frontier, Laplacian = mass inside."""
-    if graph is not region.graph:
-        raise ValueError("the region lies on another graph")
     interior = region.interior
     for v in masses:
         if v not in interior and canonicalize(*v) not in interior:

@@ -228,7 +228,7 @@ def exit_time_profile(
     """Discrete mean exit time G1 on the ball B(q0, 2^-n)."""
     region = q0_ball(n, level, graph)
     masses = region_cell_masses(w, region)
-    g1 = green_g1(region.graph, region, masses, mode=mode)
+    g1 = green_g1(region, masses, mode=mode)
     return region, g1
 
 

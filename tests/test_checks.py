@@ -14,3 +14,20 @@ def test_crashed_check_prints_its_traceback_to_stderr(monkeypatch, capsys):
     assert "Traceback (most recent call last)" in err
     assert "in _crashing_check" in err and "ZeroDivisionError" in err
     assert "Traceback" not in out
+
+
+def test_run_suite_prints_one_line_per_check(monkeypatch, capsys):
+    stub = [("good", lambda: (True, "all fine")), ("bad", lambda: (False, "off by one"))]
+    monkeypatch.setitem(checks.SUITES, "stub", stub)
+    assert checks.run_suite("stub") is False
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == 2 and err == ""
+    assert lines[0].startswith("[PASS] stub/good (") and lines[0].endswith("s): all fine")
+    assert lines[1].startswith("[FAIL] stub/bad (") and lines[1].endswith("s): off by one")
+
+
+def test_run_check_returns_the_result_and_its_seconds(monkeypatch):
+    monkeypatch.setitem(checks.SUITES, "stub", [("good", lambda: (True, "all fine"))])
+    ok, detail, seconds = checks.run_check("stub", "good")
+    assert (ok, detail) == (True, "all fine") and seconds >= 0

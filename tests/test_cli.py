@@ -124,10 +124,17 @@ def test_ball_commands_refuse_s0_other_than_half(monkeypatch, capsys, command):
         (["ehi", "--n", "3,0"], "ball index n must be >= 1"),
         (["weh", "--n", "2,0"], "ball index n must be >= 1"),
         (["weh", "--rho", "1,0", "--n", "2..3"], "rho must be positive"),
+        (["ball", "--n", "-1", "--level", "5"], "ball index n must be >= 1"),
+        (["--s0", "1/3", "ball", "--n", "2", "--level", "5"],
+         "ball subgraphs assume s0 = 1/2 (dyadic radii)"),
+        (["doubling", "--n", "-1"], "doubling index n must be >= 0"),
+        (["doubling", "--n", "2,-1"], "doubling index n must be >= 0"),
     ],
-    ids=["exit-ratio-n", "ehi-n", "weh-n", "weh-rho"],
+    ids=["exit-ratio-n", "ehi-n", "weh-n", "weh-rho", "ball-n", "ball-s0", "doubling-n",
+         "doubling-list"],
 )
 def test_ball_commands_validate_before_building(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr(cli, "doubling_ratio", None)  # doubling work would crash
     code, builds = _main_counting_builds(monkeypatch, argv)
     assert (code, builds) == (3, 0)
     captured = capsys.readouterr()
