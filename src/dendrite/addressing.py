@@ -113,6 +113,19 @@ def parse_vertex(text: str) -> Vertex:
     return canonicalize(word, corner)
 
 
+# the tail digits of an address F_w(q_j), by corner j
+_TAILS = {1: "01", 2: "2", 3: "3"}
+
+
+def _junction_address(word: str, corner: int) -> Optional[tuple[str, str]]:
+    # the extra address of a junction point in normal form: k2 q1 = k0 q2, k3 q1 = k1 q3
+    if corner == 1 and word.endswith("2"):
+        return (word[:-1] + "0", "2")
+    if corner == 1 and word.endswith("3"):
+        return (word[:-1] + "1", "3")
+    return None
+
+
 def addresses(v: Vertex) -> list[tuple[str, str]]:
     """The addresses of a lattice point, as (word, tails) pairs.
 
@@ -121,17 +134,23 @@ def addresses(v: Vertex) -> list[tuple[str, str]]:
     Junction points carry one extra address: k2 q1 = k0 q2, k3 q1 = k1 q3.
     """
     word, corner = canonicalize(*v)
-    out = [(word, {1: "01", 2: "2", 3: "3"}[corner])]
-    if corner == 1 and word.endswith("2"):
-        out.append((word[:-1] + "0", "2"))
-    elif corner == 1 and word.endswith("3"):
-        out.append((word[:-1] + "1", "3"))
-    return out
+    junction = _junction_address(word, corner)
+    return [(word, _TAILS[corner])] + ([junction] if junction else [])
+
+
+def _some_address(v: Vertex, test, cell: str) -> bool:
+    # whether test(word, tails, cell) holds for an address of v; the
+    # junction address is built only when the plain one fails
+    word, corner = canonicalize(*v)
+    if test(word, _TAILS[corner], cell):
+        return True
+    junction = _junction_address(word, corner)
+    return junction is not None and test(*junction, cell)
 
 
 def in_cell(v: Vertex, cell: str) -> bool:
     """Whether the lattice point lies in the closed cell K_cell."""
-    return any(_prefix_matches(word, tails, cell) for word, tails in addresses(v))
+    return _some_address(v, _prefix_matches, cell)
 
 
 def on_cantor_piece(v: Vertex, prefix: str) -> bool:
@@ -141,17 +160,20 @@ def on_cantor_piece(v: Vertex, prefix: str) -> bool:
     after the prefix; the junction addresses are how the left endpoints
     of branch pieces show up.
     """
-    return any(
+    return _some_address(v, _on_piece, prefix)
+
+
+def _on_piece(word: str, tails: str, prefix: str) -> bool:
+    return (
         _all_in(tails, "23") and _prefix_matches(word, tails, prefix)
         and _all_in(word[len(prefix):], "23")
-        for word, tails in addresses(v)
     )
 
 
 def _prefix_matches(word: str, tails: str, cell: str) -> bool:
     if len(cell) <= len(word):
         return word.startswith(cell)
-    return cell.startswith(word) and all(ch in tails for ch in cell[len(word):])
+    return cell.startswith(word) and _all_in(cell[len(word):], tails)
 
 
 @dataclass(frozen=True)
@@ -196,7 +218,7 @@ def cell_intersection(a: str, b: str) -> Intersection:
 
 
 def _all_in(text: str, allowed: str) -> bool:
-    return all(ch in allowed for ch in text)
+    return not text.strip(allowed)
 
 
 def words_of_length(length: int) -> Iterable[str]:

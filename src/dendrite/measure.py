@@ -6,6 +6,13 @@ Integrals of piecewise-harmonic functions are computed two ways: exactly,
 through the self-similar fixed-point identities, and as certified
 interval bounds by adaptive cell refinement.  The refinement descends the
 cell-state recursion of `closed_forms`, the one that `eval_closed` reads.
+
+Both certified descents, the refinement and the ball-measure bounds, run
+in Python ints: masses, values and distances are integers in a common
+unit, and each `Fraction` is converted with `divmod`, exactly or with an
+`ArithmeticError`.  The refinement's unit grows with the deepest cell it
+has pushed, so a depth cap far past the relative-gap stop does not
+enlarge its integers.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .addressing import Vertex, canonicalize, check_word, in_cell
@@ -184,9 +192,9 @@ def _state_range(state):
         return min(vals), max(vals)
     if kind in ("down", "up"):
         s = state[1]
-        return (min(s, Fraction(0)), max(s, Fraction(0)))
+        return (min(s, 0), max(s, 0))
     _, a, b, c = state
-    vals = (a, b, c, Fraction(0))
+    vals = (a, b, c, 0)
     return min(vals), max(vals)
 
 
@@ -235,39 +243,88 @@ class HarmonicIntegrator:
         raise ValueError(f"unknown cell state {kind!r}")
 
     def bounds(self, state, max_depth: int = 12) -> IntegralBounds:
-        """Adaptive certified bounds: refine the cells with the worst gap first."""
-        lo = Fraction(0)
-        hi = Fraction(0)
+        """Adaptive certified bounds: refine the cells with the worst gap first.
+
+        The refinement stops at relative gap `REL_GAP`, after `MAX_CELLS`
+        pushed cells, or when the worst cell lies at `max_depth`.
+
+        The loop runs in integers; cell states stay the `Fraction` tuples
+        of `_state_children`.  With D = lcm(den w0, den w2), n0 = w0 D and
+        n2 = w2 D, a depth-d cell with a digits in {0,1} has mass
+        n0^a n2^(d-a) D^(E-d) in the unit D^-E, and a child's mass is its
+        parent's // D times n0 or n2.  With s0 = p/q and K = lcm(2q, 16), a
+        child's denominators are at most q, 2q or 16 times its parent's,
+        so every value at depth <= E is a multiple of 1/(M K^E), M the lcm
+        of the root state's denominators.  Value ranges, heap keys
+        -mu (b - a), `lo` and `hi` are then integers in the unit 1/U,
+        U = M (D K)^E, and the gap test reads 2 den (hi - lo) <= num |lo + hi|
+        for `REL_GAP` = num/den.  E is the deepest depth pushed so far:
+        when it grows by one, U, `lo`, `hi` and every heap entry's mass,
+        range and key are multiplied by D, K or D K, a common positive
+        factor that keeps the heap order.  Each value is converted with
+        `divmod`, and a nonzero remainder raises `ArithmeticError`: the
+        conversion is exact or refused, so the bounds equal the rational
+        refinement's.
+        """
+        s0 = self.s0
+        w0, w2 = self.w.w0, self.w.w2
+        D = lcm(w0.denominator, w2.denominator)
+        n0, n2 = int(w0 * D), int(w2 * D)
+        factors = (n0, n0, n2, n2)
+        K = lcm(2 * s0.denominator, 16)
+        vunit = lcm(*(v.denominator for v in state[1:]))
+        U = vunit
+        gap_num, gap_den = REL_GAP.numerator, REL_GAP.denominator
+        lo = hi = 0
+        E = 0
         heap = []
         counter = 0
 
         def push(state, mu, depth):
             nonlocal lo, hi, counter
-            a, b = _state_range(state)
+            ints = [state[0]]
+            for v in state[1:]:
+                n, rem = divmod(v.numerator * vunit, v.denominator)
+                if rem:
+                    raise ArithmeticError(f"value {v} is not a multiple of 1/{vunit}")
+                ints.append(n)
+            a, b = _state_range(ints)
             lo += mu * a
             hi += mu * b
             if a != b:
-                heapq.heappush(heap, (-(mu * (b - a)), counter, state, mu, depth))
+                heapq.heappush(heap, (-mu * (b - a), counter, state, mu, a, b, depth))
                 counter += 1
 
-        push(state, Fraction(1), 0)
-        wt = self.w.as_tuple()
+        push(state, 1, 0)
         while heap and counter < MAX_CELLS:
-            mid = abs(lo + hi) / 2
-            gap = hi - lo
-            if gap <= REL_GAP * mid or (mid == 0 and gap <= REL_GAP):
+            total, gap = lo + hi, hi - lo
+            if 2 * gap_den * gap <= gap_num * abs(total) or (
+                total == 0 and gap_den * gap <= gap_num * U
+            ):
                 break
-            neg_gap, _, st, mu, depth = heapq.heappop(heap)
+            _, _, st, mu, a, b, depth = heapq.heappop(heap)
             if depth >= max_depth:
-                heapq.heappush(heap, (neg_gap, counter, st, mu, depth))
-                counter += 1
                 break
-            a, b = _state_range(st)
+            if depth == E:
+                E += 1
+                dk = D * K
+                vunit *= K
+                U *= dk
+                lo *= dk
+                hi *= dk
+                mu *= D
+                a *= K
+                b *= K
+                heap = [
+                    (key * dk, c, s, m * D, x * K, y * K, d)
+                    for key, c, s, m, x, y, d in heap
+                ]
             lo -= mu * a
             hi -= mu * b
-            for i, child in enumerate(_state_children(st, self.s0)):
-                push(child, mu * wt[i], depth + 1)
-        return IntegralBounds(lo, hi, exact=self.exact(state))
+            step = mu // D
+            for child, factor in zip(_state_children(st, s0), factors):
+                push(child, step * factor, depth + 1)
+        return IntegralBounds(Fraction(lo, U), Fraction(hi, U), exact=self.exact(state))
 
 
 def integrate_closed(spec: HarmonicSpec, w: WeightVector) -> Fraction:

@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -19,11 +18,9 @@ from dendrite.exit_time import (
 )
 from dendrite.harnack import BoundaryProfile, boundary_harmonic
 from dendrite.measure import WeightVector
-from dendrite.metric import Metric
 from dendrite.network import ball, ball_graph
 from dendrite.reduction import psi_skeleton_values, q0_boundary_resistance
 
-HALF = Fraction(1, 2)
 Q0 = ("2", 1)
 EQUAL = WeightVector.equal()
 
@@ -153,22 +150,12 @@ def test_ball_entry_points_refuse_a_graph_of_another_level(entry):
     call(ball_graph(1, 6))
 
 
-def test_dichotomy_window():
-    metric = Metric(HALF)
-    rng = random.Random(3)
-    vals = []
-    for n in (1, 2, 3):
-        level = n + 5
-        g = ball_graph(n, level)
-        region = ball(g, Q0, Fraction(1, 2**n))
-        interior = sorted(region.interior)
-        for x in rng.sample(interior, 6):
-            model = min(Fraction(1, 2**n) - metric.dist(x, Q0), metric.dist(x, Q0) + Fraction(1, 4**n))
-            if model <= 0:
-                continue
-            _, _, r = boundary_resistance(x, n, level, graph=g, mode="float")
-            vals.append(float(model) / r)
-    assert max(vals) / min(vals) < 12
+def test_dichotomy_window(check_result):
+    """The ratio of the dichotomy model to R(x, complement of B(q0, 2^-n))
+    stays inside a factor-12 window: `checks.check_dichotomy_window`, read
+    from the session cache."""
+    ok, detail, _ = check_result("exit", "dichotomy window")
+    assert ok, detail
 
 
 def test_g1_identity_contains_direct_solve():

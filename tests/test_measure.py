@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from dendrite.addressing import canonicalize, parse_vertex, words_of_length
-from dendrite.closed_forms import u_down, u_minus, u_up
+from dendrite import measure
+from dendrite.closed_forms import HarmonicSpec, u_down, u_minus, u_up
 from dendrite.measure import (
     HarmonicIntegrator,
     IntegralBounds,
@@ -242,6 +243,45 @@ def test_measure_ball_bounds_match_recorded_values():
             wrong.append((case, str(b.lower), str(b.upper)))
     assert len(cases) == 84
     assert not wrong
+
+
+def test_integrate_pw_harmonic_matches_recorded_values():
+    """Exact (lower, upper) pairs and exact integrals recorded before the
+    certified refinement moved to integer arithmetic.
+
+    The cases cover the quadrature workload's four integrals at the five
+    workload weights, and udown, uminus and uplus (negative, non-dyadic
+    parameters) at s0 in {1/3, 2/5}, each at one weight, taken in turn;
+    every case at depths -1, 0, 1, 3, 8, 12 and 200.  Depth 200 lets the
+    integer unit grow until the relative-gap stop.
+    """
+    path = Path(__file__).with_name("integrate_pw_harmonic_golden.json")
+    cases = json.loads(path.read_text())
+    wrong = []
+    for case in cases:
+        spec = HarmonicSpec(
+            case["kind"], tuple(map(Fraction, case["params"])), Fraction(case["s0"])
+        )
+        w = WeightVector.parse(case["weights"])
+        b = integrate_pw_harmonic(spec, w, max_depth=case["depth"])
+        got = (b.lower, b.upper, integrate_closed(spec, w))
+        if got != tuple(Fraction(case[k]) for k in ("lower", "upper", "exact")):
+            wrong.append((case, *map(str, got)))
+    assert len(cases) == 182
+    assert not wrong
+
+
+def test_certified_bounds_refuse_inexact_values(monkeypatch):
+    """A cell value that is not a multiple of the integer unit raises, never rounds."""
+    real = measure._state_children
+
+    def off_by_a_third(state, s0):
+        first, *rest = real(state, s0)
+        return [("h", first[1] + Fraction(1, 3), *first[2:]), *rest]
+
+    monkeypatch.setattr(measure, "_state_children", off_by_a_third)
+    with pytest.raises(ArithmeticError):
+        integrate_pw_harmonic(u_down(), EQUAL, max_depth=3)
 
 
 def test_measure_ball_bounds_refuses_inexact_distances():
