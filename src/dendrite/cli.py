@@ -176,9 +176,9 @@ def cmd_graph(args, cfg: RunConfig) -> int:
 
 def cmd_resistance(args, cfg: RunConfig) -> int:
     _check_level(args.level, cfg)
-    g = build_level_graph(args.level, cfg.s0)
     u = parse_vertex(getattr(args, "from"))
     v = parse_vertex(args.to)
+    g = build_level_graph(args.level, cfg.s0)
     r = effective_resistance(g, [u], [v], mode="float" if args.float else "exact")
     print(_fmt(r))
     return 0

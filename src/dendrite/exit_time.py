@@ -1,4 +1,4 @@
-"""Resistance to the ball frontier, typical points, and exit-time experiments.
+"""Resistance to the ball frontier, and exit-time experiments.
 
 The mean exit time analogue G1 solves the discrete Green problem with the
 ball's self-similar mass; the product identity (resistance times the
@@ -22,51 +22,6 @@ from .measure import (
     harmonic_weights,
 )
 from .network import BallRegion, LevelGraph, ball, ball_graph
-from .reduction import x_point_word, y_point_word
-
-
-@dataclass(frozen=True)
-class TypicalPoint:
-    """Distinguished lattice points in the ball B(q0, 2^-n).
-
-    kind "q0"; "xmk" (upper spine, indices m, k); "yk" (lower branch,
-    index k); "xmk_reflected" (word in {2,3}^(k-1) replacing 3^(k-1));
-    "yk_reflected" (branch word in {0,1}^(n-1) and tail in {2,3}^k).
-    """
-
-    kind: str
-    n: int
-    m: int = 0
-    k: int = 0
-    branch: str = ""
-    tail: str = ""
-
-    def vertex(self) -> Vertex:
-        n = self.n
-        if n < 1:
-            raise ValueError("ball index n must be >= 1")
-        if self.kind == "q0":
-            return Q0
-        if self.kind == "xmk":
-            if self.m < 0 or self.k < 0:
-                raise ValueError("indices must be non-negative")
-            return canonicalize(x_point_word(n, self.m, self.k), 1)
-        if self.kind == "yk":
-            if self.k < 1:
-                raise ValueError("yk needs k >= 1")
-            return canonicalize(y_point_word(n, self.k), 1)
-        if self.kind == "xmk_reflected":
-            if self.k < 1 or len(self.tail) != self.k - 1 or any(c not in "23" for c in self.tail):
-                raise ValueError("tail must lie in {2,3}^(k-1)")
-            word = "0" + "2" * (n - 1) + "0" * self.m + "23" + self.tail
-            return canonicalize(word, 1)
-        if self.kind == "yk_reflected":
-            if len(self.branch) != n - 1 or any(c not in "01" for c in self.branch):
-                raise ValueError("branch must lie in {0,1}^(n-1)")
-            if self.k < 1 or len(self.tail) != self.k or any(c not in "23" for c in self.tail):
-                raise ValueError("tail must lie in {2,3}^k")
-            return canonicalize("2" + self.branch + self.tail, 1)
-        raise ValueError(f"unknown typical point kind {self.kind!r}")
 
 
 def q0_ball(n: int, level: int, graph: Optional[LevelGraph] = None) -> BallRegion:
@@ -92,113 +47,6 @@ def boundary_resistance(
         raise ValueError(f"{vertex_str(x)} is not interior to the ball")
     psi, r = equilibrium_potential(region.graph, x, region.frontier, mode=mode)
     return region, psi, r
-
-
-@dataclass
-class ReductionResult:
-    """Two-node reduction of the ball network around an interior point."""
-
-    z_left: Vertex
-    z_right: Vertex
-    r_left: float
-    r_right: float
-    resistance: float
-    psi_left: float
-    psi_right: float
-
-
-def locate_reduction_nodes(x: Vertex, n: int) -> tuple[Vertex, Vertex]:
-    """The two typical points flanking x, from its first address.
-
-    Upper case: x sits between consecutive spine junctions, between a
-    junction and the first turned node, or inside the turned {2,3} chain;
-    lower case: between branch chain nodes.  A {2,3} run that the address
-    never leaves means x lies on a boundary Cantor piece.
-    """
-    word, corner = canonicalize(*x)
-    tail = {1: "0", 2: "2", 3: "3"}[corner]
-    addr = word + tail * (len(word) + n + 8)
-
-    def run_flanks(anchor: str, rest: str) -> tuple[Vertex, Vertex]:
-        k = 0
-        while k < len(rest) and rest[k] in "23":
-            k += 1
-        if k >= len(rest):
-            raise ValueError("point lies on a boundary Cantor piece")
-        run, direction = rest[:k], rest[k]
-        left = canonicalize(anchor + run, 1)
-        right = canonicalize(anchor + run + ("2" if direction == "0" else "3"), 1)
-        return left, right
-
-    if addr[0] == "0":
-        head = "0" + "2" * (n - 1)
-        if not addr.startswith(head):
-            raise ValueError("point is not interior to the ball")
-        rest = addr[len(head):]
-        m = 0
-        while m < len(rest) and rest[m] == "0":
-            m += 1
-        if m >= len(rest) or rest[m] != "2":
-            raise ValueError("point is not interior to the ball")
-        base = head + "0" * m + "2"
-        rest = rest[m + 1:]
-        if rest[0] in "02":
-            # between the spine junctions x_{m-1,0} and x_{m,0}
-            return canonicalize(base, 2), canonicalize(base, 1)
-        if rest[0] == "1":
-            return canonicalize(base, 1), canonicalize(base + "3", 1)
-        return run_flanks(base, rest)
-    if addr[0] != "2":
-        raise ValueError("point is not interior to the ball")
-    body = addr[1:n]
-    if any(c not in "01" for c in body):
-        raise ValueError("point is not interior to the ball")
-    return run_flanks("2" + body, addr[n:])
-
-
-def network_reduce(
-    x: Vertex, n: int, level: int, graph: Optional[LevelGraph] = None
-) -> ReductionResult:
-    """Parallel-arm reduction of R(x, frontier) through the flanking typical points.
-
-    r_left/r_right solve the two-equation system matching the measured
-    boundary resistances of the flanking nodes; the reconstructed
-    resistance and potential values are exact when x lies on the arc.
-    """
-    x = canonicalize(*x)
-    region = q0_ball(n, level, graph)
-    graph = region.graph
-    if x not in region.interior:
-        raise ValueError(f"{vertex_str(x)} is not interior to the ball")
-    z_l, z_r = locate_reduction_nodes(x, n)
-    if x == z_l:
-        psi, r = equilibrium_potential(graph, x, region.frontier, mode="float")
-        return ReductionResult(z_l, z_r, math.inf, math.inf, r, 1.0, float(psi[z_r]))
-
-    _, r_l_total = equilibrium_potential(graph, z_l, region.frontier, mode="float")
-    _, r_r_total = equilibrium_potential(graph, z_r, region.frontier, mode="float")
-    d_lr = float(graph.distances_from(z_l)[graph.vertex_id(z_r)])
-    from_x = graph.distances_from(x)
-    d_xl = float(from_x[graph.vertex_id(z_l)])
-    d_xr = float(from_x[graph.vertex_id(z_r)])
-
-    # arm resistances: 1/R(z_a, frontier) = 1/r_a + 1/(d(z_l,z_r) + r_other).
-    # With g = r_l r_r / (r_l + r_r + d) both equations become
-    # g^2 + d g = R_l R_r, and each arm is d g / (R_other - g).
-    rr = r_l_total * r_r_total
-    g = 2.0 * rr / (d_lr + math.sqrt(d_lr * d_lr + 4.0 * rr))
-    r_l = d_lr * g / (r_r_total - g)
-    r_r = d_lr * g / (r_l_total - g)
-    resistance = 1.0 / (1.0 / (d_xl + r_l) + 1.0 / (d_xr + r_r))
-    return ReductionResult(
-        z_l,
-        z_r,
-        r_l,
-        r_r,
-        resistance,
-        r_l / (d_xl + r_l),
-        r_r / (d_xr + r_r),
-    )
 
 
 def region_cell_masses(w: WeightVector, region: BallRegion) -> dict[Vertex, Fraction]:

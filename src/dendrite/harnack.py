@@ -37,6 +37,10 @@ class BoundaryProfile:
     branch: Optional[str] = None
     parts: tuple = ()  # mixture: ((profile, coefficient), ...)
 
+    def __post_init__(self):
+        if self.kind in ("upper", "lower") and (self.m < 0 or self.k < 0):
+            raise ValueError("piece indices m and k must be >= 0")
+
     def piece_prefix(self, n: int) -> str:
         if self.kind == "upper":
             return x_point_word(n, self.m, self.k)

@@ -197,9 +197,8 @@ def psi_skeleton_values(
 
     Returns (values by node, resistance to the ball frontier).
     """
-    from .dirichlet import dirichlet_energy, solve_dirichlet
+    from .dirichlet import _potential
 
     net, labels = ball_skeleton(n, level, kind, m0=m0, k0=k0)
-    sol = solve_dirichlet(net, {labels["source"]: 1, GROUND: 0})
-    energy = dirichlet_energy(net, sol)
-    return dict(zip(net.vertices, sol.values)), 1 / energy
+    sol, r = _potential(net, [GROUND], [labels["source"]], "exact")
+    return dict(zip(net.vertices, sol.values)), r

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -75,6 +76,23 @@ def test_canonical_identity_matches_geometry():
     for (a, va), (b, vb) in zip(pts, pts[1:]):
         if abs(a[0] - b[0]) < 1e-9 and abs(a[1] - b[1]) < 1e-9:
             assert va == vb
+
+
+def test_canonicalize_long_random_words():
+    # the exhaustive tests above stop at length 5; here words reach length 30,
+    # half of them ending in a run that canonicalisation rewrites
+    rng = random.Random(11)
+    runs = ["01", "2", "3", "02", "13"]
+    for _ in range(2000):
+        length = rng.randint(0, 30)
+        cut = rng.randint(0, length) if rng.random() < 0.5 else length
+        word = "".join(rng.choice("0123") for _ in range(cut))
+        tail = rng.choice(runs)
+        word += "".join(rng.choice(tail) for _ in range(length - cut))
+        c = rng.choice((1, 2, 3))
+        v = canonicalize(word, c)
+        assert canonicalize(*v) == v
+        assert close(coords(v), apply_map(word, CORNER_COORDS[c])), (word, c, v)
 
 
 def test_intersection_examples():

@@ -129,9 +129,10 @@ def test_ball_commands_refuse_s0_other_than_half(monkeypatch, capsys, command):
          "ball subgraphs assume s0 = 1/2 (dyadic radii)"),
         (["doubling", "--n", "-1"], "doubling index n must be >= 0"),
         (["doubling", "--n", "2,-1"], "doubling index n must be >= 0"),
+        (["ehi", "--n", "2..3", "--k", "-1"], "piece indices m and k must be >= 0"),
     ],
     ids=["exit-ratio-n", "ehi-n", "weh-n", "weh-rho", "ball-n", "ball-s0", "doubling-n",
-         "doubling-list"],
+         "doubling-list", "ehi-k"],
 )
 def test_ball_commands_validate_before_building(monkeypatch, capsys, argv, message):
     monkeypatch.setattr(cli, "doubling_ratio", None)  # doubling work would crash
@@ -140,6 +141,65 @@ def test_ball_commands_validate_before_building(monkeypatch, capsys, argv, messa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {message}"]
+
+
+# arguments that every command must refuse before any work: argparse usage
+# errors exit 2, validation errors 3 and capacity errors 4
+BAD_ARGUMENTS = [
+    [],
+    ["nope"],
+    ["resistance", "--from=-:2"],
+    ["graph", "--level", "x"],
+    ["ehi", "--n", "2", "--k", "x"],
+    ["doubling", "--n", "2", "--radius", "-1/2"],
+    ["measure", "--integrate", "udown", "--depth", "x"],
+    ["resistance", "--from=zz:9", "--to=-:1"],
+    ["harmonics", "--at", "04:1"],
+    ["harmonics", "--at", "02:5"],
+    ["harmonics", "--at", "nonsense"],
+    ["harmonics", "--kind", "uminus"],
+    ["harmonics", "--coeffs", "xmk", "--n", "0"],
+    ["harmonics", "--coeffs", "yk", "--k0", "0"],
+    ["measure", "--cell", "4"],
+    ["measure"],
+    ["doubling", "--n", "2", "--x", "04:1"],
+    ["exit-ratio", "--n", "3..2"],
+    ["doubling", "--n", "5..1"],
+    ["ehi", "--n", ""],
+    ["weh", "--n", "2,"],
+    ["exit-ratio", "--n", "a..b"],
+    ["exit-ratio", "--n", "2", "--level-offset", "0"],
+    ["ehi", "--n", "2", "--level-offset", "0"],
+    ["weh", "--n", "2", "--level-offset", "0"],
+    ["doubling", "--n", "2", "--radius", "0"],
+    ["doubling", "--n", "2", "--radius", "x"],
+    ["--s0", "x", "measure", "--cell", "2"],
+    ["--s0", "1", "measure", "--cell", "2"],
+    ["--s0", "1/0", "measure", "--cell", "2"],
+    ["--weights", "1,1", "measure", "--cell", "2"],
+    ["--max-level", "0", "measure", "--cell", "2"],
+    ["--max-level", "2", "graph", "--level", "3"],
+    ["ball", "--n", "1", "--level", "99"],
+    ["ehi", "--n", "2..3", "--k", "-1"],
+    ["ehi", "--n", "2", "--epsilon", "0"],
+    ["weh", "--n", "2", "--delta", "0"],
+    ["weh", "--n", "2", "--rho", "x"],
+    ["verify", "--suite", "nope"],
+    ["graph", "--level", "-1"],
+]
+
+
+def test_bad_arguments_exit_with_a_code_and_no_traceback(monkeypatch, capsys, tmp_path):
+    missing_config = ["--config", str(tmp_path / "missing.json"), "measure", "--cell", "2"]
+    for argv in BAD_ARGUMENTS + [missing_config]:
+        try:
+            code, builds = _main_counting_builds(monkeypatch, argv)
+        except SystemExit as exc:
+            code, builds = exc.code, 0
+        captured = capsys.readouterr()
+        assert (code, builds) in ((2, 0), (3, 0), (4, 0)), argv
+        assert captured.out == "", argv
+        assert "Traceback" not in captured.err, argv
 
 
 @pytest.mark.parametrize(

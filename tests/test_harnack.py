@@ -4,7 +4,6 @@ import pytest
 
 from dendrite.addressing import canonicalize
 from dendrite.dirichlet import equilibrium_potential
-from dendrite.exit_time import TypicalPoint
 from dendrite.harnack import (
     BoundaryProfile,
     boundary_harmonic,
@@ -19,6 +18,7 @@ from dendrite.harnack import (
 )
 from dendrite.measure import WeightVector
 from dendrite.network import ball, ball_graph
+from dendrite.reduction import x_point_word, y_point_word
 
 HALF = Fraction(1, 2)
 Q0 = ("2", 1)
@@ -72,7 +72,7 @@ def test_lower_piece_value_window_at_y1():
     vals = []
     for n in (1, 2, 3):
         region, sol = boundary_harmonic(n, BoundaryProfile("lower", k=1), n + 4)
-        y1 = TypicalPoint("yk", n, k=1).vertex()
+        y1 = canonicalize(y_point_word(n, 1), 1)
         vals.append(float(sol[y1]))
     assert max(vals) / min(vals) < 1.5  # fixed window across n
 
@@ -81,7 +81,7 @@ def test_upper_piece_value_window_at_x00():
     vals = []
     for n in (1, 2, 3):
         region, sol = boundary_harmonic(n, BoundaryProfile("upper", m=0, k=0), n + 4)
-        x00 = TypicalPoint("xmk", n, m=0, k=0).vertex()
+        x00 = canonicalize(x_point_word(n, 0, 0), 1)
         vals.append(float(sol[x00]))
     assert max(vals) / min(vals) < 1.5
 
