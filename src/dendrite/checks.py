@@ -134,12 +134,10 @@ def check_metric_axioms(level: int = 4, samples: int = 60, seed: int = 5):
     metric = Metric(HALF)
     for _ in range(samples):
         u, v, w = (rng.choice(verts) for _ in range(3))
-        duv = g.distances_from(u)[g.vertex_id(v)]
-        dvu = g.distances_from(v)[g.vertex_id(u)]
+        duv, dvu = resistance_distance(g, u, v), resistance_distance(g, v, u)
         if duv != dvu or (duv == 0) != (u == v):
             return False, f"symmetry/identity fails at {u},{v}"
-        duw = g.distances_from(u)[g.vertex_id(w)]
-        dvw = g.distances_from(v)[g.vertex_id(w)]
+        duw, dvw = resistance_distance(g, u, w), resistance_distance(g, v, w)
         if duv > duw + dvw:
             return False, "triangle inequality fails"
         if metric.dist(u, v) != duv:

@@ -71,12 +71,21 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         cfg = cls()
         if "s0" in data:
-            cfg.s0 = Fraction(data["s0"])
+            cfg.s0 = _fraction_arg("config s0", data["s0"])
         if "weights" in data:
-            cfg.weights = WeightVector.parse(data["weights"])
+            cfg.weights = _fraction_arg("config weights", data["weights"], WeightVector.parse)
         if "max_level" in data:
             cfg.max_level = int(data["max_level"])
         return cfg
+
+
+def _fraction_arg(flag: str, text, parse=Fraction):
+    """`parse(text)` for a fraction-valued argument; a failure is a ValueError naming the flag."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+        raise ValueError(f"{flag} got {text!r}: {reason}") from None
 
 
 def _resolve_config(args) -> RunConfig:
@@ -86,9 +95,9 @@ def _resolve_config(args) -> RunConfig:
             data.update(json.load(fh))
     cfg = RunConfig.from_dict(data)
     if args.s0:
-        cfg.s0 = Fraction(args.s0)
+        cfg.s0 = _fraction_arg("--s0", args.s0)
     if args.weights:
-        cfg.weights = WeightVector.parse(args.weights)
+        cfg.weights = _fraction_arg("--weights", args.weights, WeightVector.parse)
     env_max = os.environ.get("DENDRITE_MAX_LEVEL")
     if env_max is not None:
         cfg.max_level = int(env_max)
@@ -207,7 +216,7 @@ def _harmonic_spec(kind: str, params: str | None, s0: Fraction):
         return u_down(s0)
     if kind == "uup":
         return u_up(s0)
-    values = [Fraction(x) for x in (params or "").split(",") if x]
+    values = [_fraction_arg("--params", x) for x in (params or "").split(",") if x]
     if kind == "uminus":
         if len(values) != 3:
             raise ValueError("uminus needs --params a2,a1,a3")
@@ -273,9 +282,10 @@ def cmd_exit_ratio(args, cfg: RunConfig) -> int:
 
 def cmd_ehi(args, cfg: RunConfig) -> int:
     n_values = _checked_n_range(args, cfg)
-    rows, slope, stderr = ehi_slope(n_values, args.k, Fraction(args.epsilon), args.level_offset)
+    epsilon = _fraction_arg("--epsilon", args.epsilon)
+    rows, slope, stderr = ehi_slope(n_values, args.k, epsilon, args.level_offset)
     table = [
-        [r["n"], r["level"], r["k"], _fmt(Fraction(args.epsilon)), _fmt(r["inf"]),
+        [r["n"], r["level"], r["k"], _fmt(epsilon), _fmt(r["inf"]),
          _fmt(r["sup"]), _fmt(r["ratio"]), _fmt(r["model"])]
         for r in rows
     ]
@@ -286,8 +296,9 @@ def cmd_ehi(args, cfg: RunConfig) -> int:
 
 def cmd_weh(args, cfg: RunConfig) -> int:
     n_values = _checked_n_range(args, cfg)
-    rho_values = [Fraction(x) for x in args.rho.split(",")]
-    scan = weh_threshold_scan(Fraction(args.delta), rho_values, n_values, args.level_offset)
+    rho_values = [_fraction_arg("--rho", x) for x in args.rho.split(",")]
+    delta = _fraction_arg("--delta", args.delta)
+    scan = weh_threshold_scan(delta, rho_values, n_values, args.level_offset)
     table = []
     for row in scan:
         for rep in row["reports"]:
@@ -319,7 +330,7 @@ def cmd_doubling(args, cfg: RunConfig) -> int:
     table = []
     for n in n_values:
         x = parse_vertex(args.x) if args.x else canonicalize("2" + "0" * (n - 1), 2)
-        r = Fraction(args.radius) if args.radius else Fraction(1, 2**n)
+        r = _fraction_arg("--radius", args.radius) if args.radius else Fraction(1, 2**n)
         ratio, big, small = doubling_ratio(
             cfg.weights, x, r, max_depth=max(cfg.max_level, n + 6), metric=metric
         )

@@ -154,9 +154,9 @@ def exit_ratio_experiment(
     for n in n_values:
         level = n + level_offset
         region, g1 = exit_time_profile(n, w, level)
-        core_radius = Fraction(1, 2**n) * Fraction(1, 4**n)
-        inf_core = min(float(x) for x, d in zip(g1.values, region.dist) if d < core_radius)
-        sup_ball = max(float(x) for x, d in zip(g1.values, region.dist) if d < region.radius)
+        core, whole = region.cut(Fraction(1, 2**n) * Fraction(1, 4**n)), region.cut()
+        inf_core = min(float(x) for x, d in zip(g1.values, region.units) if d < core)
+        sup_ball = max(float(x) for x, d in zip(g1.values, region.units) if d < whole)
         rows.append(ExitRatioRow(n, level, inf_core, sup_ball, inf_core / sup_ball))
     slope, stderr = fit_log2_slope([r.n for r in rows], [r.ratio for r in rows])
     return rows, slope, stderr

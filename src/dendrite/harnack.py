@@ -38,6 +38,8 @@ class BoundaryProfile:
     parts: tuple = ()  # mixture: ((profile, coefficient), ...)
 
     def __post_init__(self):
+        if self.kind not in ("upper", "lower", "mixture"):
+            raise ValueError(f"unknown boundary profile kind {self.kind!r}")
         if self.kind in ("upper", "lower") and (self.m < 0 or self.k < 0):
             raise ValueError("piece indices m and k must be >= 0")
 
@@ -86,17 +88,18 @@ def extrema_over_subball(
     region: BallRegion, values: VertexFunction, radius: Fraction
 ) -> tuple[float, float]:
     """Extrema of a vertex function over B(q0, radius), cut edges interpolated."""
-    dist = region.dist
+    radius = Fraction(radius)
+    units, cut = region.units, region.cut(radius)
     vals = values.values
     lo = hi = None
-    for val, d in zip(vals, dist):
-        if d < radius:
+    for val, d in zip(vals, units):
+        if d < cut:
             x = float(val)
             lo = x if lo is None or x < lo else lo
             hi = x if hi is None or x > hi else hi
     if lo is None:
         raise ValueError("sub-ball contains no vertices at this level")
-    for i, j, t in radius_crossings(region.graph, dist, radius):
+    for i, j, t in radius_crossings(region.graph, units, region.unit, radius):
         x = float(vals[i]) + float(t) * (float(vals[j]) - float(vals[i]))
         lo, hi = min(lo, x), max(hi, x)
     return lo, hi

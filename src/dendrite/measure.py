@@ -354,20 +354,20 @@ def classify_region_cells(region: BallRegion, radius: Optional[Fraction] = None)
     Returns two ascending lists of cell indices into the graph's words.
     """
     graph = region.graph
-    scale = Fraction(1, 2**graph.level)  # metric scale of a level cell at s0 = 1/2
     if graph.s0 != Fraction(1, 2):
         raise ValueError("cell classification assumes s0 = 1/2")
-    r = region.radius if radius is None else Fraction(radius)
-    # a cell lies inside when some corner's distance plus its reach is below r
-    r1, r2, r3 = (r - reach * scale for reach in _CORNER_REACH)
-    dist = region.dist
+    # a cell lies inside when some corner's distance plus its reach is below
+    # the radius; at s0 = 1/2 a level cell's metric scale is one distance unit
+    cut = region.cut(radius)
+    c1, c2, c3 = (cut - reach for reach in _CORNER_REACH)
+    units = region.units
     inside, straddle = [], []
     it = iter(graph.corners)
     for k, (q1, q2, q3) in enumerate(zip(it, it, it)):
-        d1, d2, d3 = dist[q1], dist[q2], dist[q3]
-        if d1 < r1 or d2 < r2 or d3 < r3:
+        d1, d2, d3 = units[q1], units[q2], units[q3]
+        if d1 < c1 or d2 < c2 or d3 < c3:
             inside.append(k)
-        elif d1 < r or d2 < r or d3 < r:
+        elif d1 < cut or d2 < cut or d3 < cut:
             straddle.append(k)
     return inside, straddle
 

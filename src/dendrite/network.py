@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -84,27 +85,38 @@ class Network:
                 raise KeyError(f"vertex {vertex_str(key)} not in graph")
         return i
 
-    def _walk(self, s: int) -> tuple[list[Fraction], list[int]]:
+    # `_walk` sums edge resistances in units of 1/unit, starting from `_zero`:
+    # Fractions here, integers on a LevelGraph
+    unit = 1
+    _zero = Fraction(0)
+
+    def _resistance(self, cond: Fraction):
+        """An edge's resistance in units of 1/unit."""
+        return 1 / cond
+
+    def _walk(self, s: int) -> tuple[list, list[int]]:
         """Tree distances from id s (sums of edge resistances) and parent ids (-1 at s)."""
-        dist: list[Optional[Fraction]] = [None] * len(self.vertices)
+        dist: list = [None] * len(self.vertices)
         parent = [-1] * len(self.vertices)
-        dist[s] = Fraction(0)
-        # a level network has few distinct conductances: invert each once
-        resistance: dict[Fraction, Fraction] = {}
+        dist[s] = self._zero
+        # the resistance of each conductance object, worked out once: the edges of
+        # a digit class share one Fraction, and its id hashes faster than its value
+        resistance: dict[int, object] = {}
+        adj = self.adj
         stack = [s]
         while stack:
             i = stack.pop()
             di = dist[i]
-            for j, cond in self.adj[i]:
+            for j, cond in adj[i]:
                 if dist[j] is None:
-                    r = resistance.get(cond)
+                    r = resistance.get(id(cond))
                     if r is None:
-                        r = resistance[cond] = 1 / cond
+                        r = resistance[id(cond)] = self._resistance(cond)
                     dist[j] = di + r
                     parent[j] = i
                     stack.append(j)
         assert all(d is not None for d in dist), "graph is not connected"
-        return dist, parent  # type: ignore[return-value]
+        return dist, parent
 
     def distances_from(self, start) -> list[Fraction]:
         """Tree distance (sum of edge resistances) from start to every vertex."""
@@ -142,6 +154,22 @@ class LevelGraph(Network):
             ],
         }
         return json.dumps(payload, indent=1)
+
+    _zero = 0
+
+    @property
+    def unit(self) -> int:
+        """U = q^L for s0 = p/q: a cell with a digits in {0,1} has resistance p^a (q-p)^(L-a) / U."""
+        return self.s0.denominator ** self.level
+
+    def _resistance(self, cond: Fraction) -> int:
+        r, rem = divmod(self.unit * cond.denominator, cond.numerator)
+        assert not rem, f"resistance 1/{cond} is not a multiple of 1/{self.unit}"
+        return r
+
+    def distances_from(self, start) -> list[Fraction]:
+        unit = self.unit
+        return [Fraction(d, unit) for d in self._walk(self.vertex_id(start))[0]]
 
 
 def word_conductance(word: str, s0: Fraction) -> Fraction:
@@ -243,14 +271,19 @@ def ball_cell_words(n: int, level: int) -> list[str]:
 
 @dataclass
 class BallRegion:
-    """Interior/frontier split of a metric ball on a level graph."""
+    """Interior/frontier split of a metric ball on a level graph.
+
+    Distances from the center are kept as the graph's integer walk: the
+    vertex with id i lies at `units[i] / unit` from the center.
+    """
 
     graph: LevelGraph
     center: Vertex
     radius: Fraction
     interior: frozenset[Vertex]
     frontier: frozenset[Vertex]
-    dist: list[Fraction]  # distance from the center, indexed by vertex id
+    units: list[int]  # distance from the center in units of 1/unit, indexed by vertex id
+    unit: int
     cut_edges: list[tuple[Vertex, Vertex, Fraction]]  # (inside, outside, crossing fraction)
     upper_boundary: Optional[frozenset[Vertex]] = None
     lower_boundary: Optional[frozenset[Vertex]] = None
@@ -259,22 +292,40 @@ class BallRegion:
     def level(self) -> int:
         return self.graph.level
 
+    @cached_property
+    def dist(self) -> list[Fraction]:
+        """Distance from the center, indexed by vertex id."""
+        unit = self.unit
+        return [Fraction(d, unit) for d in self.units]
 
-def radius_crossings(graph: Network, dist: Sequence[Fraction], radius: Fraction):
+    def cut(self, radius: Optional[Fraction] = None) -> int:
+        """The least integer distance outside the open ball of `radius` (default: the region's)."""
+        return units_cut(self.radius if radius is None else Fraction(radius), self.unit)
+
+
+def units_cut(radius: Fraction, unit: int) -> int:
+    """ceil(radius * unit): an integer distance d (in units of 1/unit) has d / unit < radius iff d < it."""
+    return -(-radius.numerator * unit // radius.denominator)
+
+
+def radius_crossings(graph: Network, units: Sequence[int], unit: int, radius: Fraction):
     """Edges that leave the open ball {d < radius}, in edge order.
 
-    Returns (inside id, outside id, t) triples, where t = (radius - d_inside)
-    times the conductance is the fraction of the edge's resistance that
-    lies inside the ball.
+    `units` are the distances from the center in units of 1/unit, as
+    `graph._walk` gives them.  Returns (inside id, outside id, t) triples,
+    where t = (radius - d_inside) times the conductance is the fraction of
+    the edge's resistance that lies inside the ball.
     """
+    cut = units_cut(radius, unit)
+    num, den = radius.numerator * unit, radius.denominator
     out = []
     for i, j, cond in graph.edges:
-        di, dj = dist[i], dist[j]
-        if (di < radius) == (dj < radius):
+        di, dj = units[i], units[j]
+        if (di < cut) == (dj < cut):
             continue
         if di > dj:
             i, j, di = j, i, dj
-        out.append((i, j, (radius - di) * cond))
+        out.append((i, j, Fraction((num - di * den) * cond.numerator, den * unit * cond.denominator)))
     return out
 
 
@@ -284,11 +335,13 @@ def ball(graph: LevelGraph, center: Vertex, radius: Fraction) -> BallRegion:
     if radius <= 0:
         raise ValueError("radius must be positive")
     center = canonicalize(*center)
-    dist = graph.distances_from(center)
+    units = graph._walk(graph.vertex_id(center))[0]
+    unit = graph.unit
+    cut = units_cut(radius, unit)
     vertices = graph.vertices
-    interior = frozenset(vertices[i] for i, d in enumerate(dist) if d < radius)
+    interior = frozenset([v for v, d in zip(vertices, units) if d < cut])
     # ids follow the vertex order, so sorting by id sorts by vertex
-    crossings = sorted(radius_crossings(graph, dist, radius))
+    crossings = sorted(radius_crossings(graph, units, unit, radius))
     cut_edges = [(vertices[i], vertices[j], t) for i, j, t in crossings]
     frontier = frozenset(v for _, v, _ in cut_edges)
     upper = lower = None
@@ -301,7 +354,8 @@ def ball(graph: LevelGraph, center: Vertex, radius: Fraction) -> BallRegion:
         radius=radius,
         interior=interior,
         frontier=frontier,
-        dist=dist,
+        units=units,
+        unit=unit,
         cut_edges=cut_edges,
         upper_boundary=upper,
         lower_boundary=lower,
@@ -331,6 +385,7 @@ def schur_trace(graph: Network, keep: Sequence[Vertex]) -> Network:
     if len(graph.edges) != len(graph.vertices) - 1:
         raise RuntimeError("non-tree structure: the network has a cycle")
     dist, parent = graph._walk(kept[0])
+    unit = graph.unit
     is_kept = [False] * len(graph.vertices)
     for i in kept:
         is_kept[i] = True
@@ -343,7 +398,7 @@ def schur_trace(graph: Network, keep: Sequence[Vertex]) -> Network:
                 raise RuntimeError(f"non-tree structure: could not eliminate {graph.vertices[u]!r}")
             crossed[u] = True
             u = parent[u]
-        links.append((min(u, i), max(u, i), 1 / (dist[i] - dist[u])))
+        links.append((min(u, i), max(u, i), Fraction(unit, dist[i] - dist[u])))
     vertices = [graph.vertices[i] for i in kept]
     new_id = {i: k for k, i in enumerate(kept)}
     edges = sorted((new_id[a], new_id[b], c) for a, b, c in links)
@@ -353,5 +408,4 @@ def schur_trace(graph: Network, keep: Sequence[Vertex]) -> Network:
 
 def resistance_distance(graph: Network, u: Vertex, v: Vertex) -> Fraction:
     """Sum of edge resistances along the unique tree path (= effective resistance)."""
-    du = graph.distances_from(u)
-    return du[graph.vertex_id(v)]
+    return Fraction(graph._walk(graph.vertex_id(u))[0][graph.vertex_id(v)], graph.unit)

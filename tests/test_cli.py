@@ -176,6 +176,9 @@ BAD_ARGUMENTS = [
     ["--s0", "x", "measure", "--cell", "2"],
     ["--s0", "1", "measure", "--cell", "2"],
     ["--s0", "1/0", "measure", "--cell", "2"],
+    ["--weights", "1/0,1", "measure", "--cell", "2"],
+    ["ehi", "--n", "2", "--epsilon", "1/0"],
+    ["weh", "--n", "2", "--rho", "1/0"],
     ["--weights", "1,1", "measure", "--cell", "2"],
     ["--max-level", "0", "measure", "--cell", "2"],
     ["--max-level", "2", "graph", "--level", "3"],
@@ -200,6 +203,21 @@ def test_bad_arguments_exit_with_a_code_and_no_traceback(monkeypatch, capsys, tm
         assert (code, builds) in ((2, 0), (3, 0), (4, 0)), argv
         assert captured.out == "", argv
         assert "Traceback" not in captured.err, argv
+
+
+@pytest.mark.parametrize(
+    "argv, flag, text",
+    [(["--s0", "1/0", "measure", "--cell", "2"], "--s0", "1/0"),
+     (["--weights", "1/0,1", "measure", "--cell", "2"], "--weights", "1/0,1"),
+     (["ehi", "--n", "2", "--epsilon", "1/0"], "--epsilon", "1/0"),
+     (["weh", "--n", "2", "--rho", "1/0"], "--rho", "1/0")],
+)
+def test_zero_denominator_names_its_flag(monkeypatch, capsys, argv, flag, text):
+    code, builds = _main_counting_builds(monkeypatch, argv)
+    assert (code, builds) == (3, 0)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {flag} got {text!r}: zero denominator"]
 
 
 @pytest.mark.parametrize(

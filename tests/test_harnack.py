@@ -68,6 +68,12 @@ def test_boundary_harmonic_level_precondition():
         boundary_harmonic(2, BoundaryProfile("lower", k=3), 5)
 
 
+def test_boundary_profile_refuses_unknown_kinds():
+    for kind in ("middle", "Upper", ""):
+        with pytest.raises(ValueError, match=f"unknown boundary profile kind {kind!r}"):
+            BoundaryProfile(kind)
+
+
 def test_lower_piece_value_window_at_y1():
     vals = []
     for n in (1, 2, 3):

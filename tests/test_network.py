@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 
 from dendrite.addressing import canonicalize, in_cell, words_of_length
+from dendrite.dirichlet import VertexFunction
+from dendrite.harnack import extrema_over_subball
+from dendrite.measure import classify_region_cells
 from dendrite.metric import Metric
 from dendrite.network import (
     CapacityError,
@@ -140,6 +143,100 @@ def test_cut_edges_cross_the_radius():
     for u, v, frac in region.cut_edges:
         assert region.dist[g.vertex_id(u)] < HALF <= region.dist[g.vertex_id(v)]
         assert 0 < frac <= 1
+
+
+def _fraction_walk(g, s):
+    """Oracle: tree distances from id s, summed edge by edge as Fractions."""
+    dist = {s: Fraction(0)}
+    stack = [s]
+    while stack:
+        i = stack.pop()
+        for j, c in g.adj[i]:
+            if j not in dist:
+                dist[j] = dist[i] + 1 / c
+                stack.append(j)
+    return [dist[i] for i in range(len(g.vertices))]
+
+
+def test_integer_walk_matches_fraction_walk():
+    graphs = [ball_graph(n, level) for n in range(1, 5) for level in range(n + 1, n + 6)]
+    # s0 = 1/3 and 2/5 have units 3^L and 5^L, not powers of two
+    graphs += [build_level_graph(level, s0) for level in range(6) for s0 in (HALF, Fraction(1, 3), Fraction(2, 5))]
+    rng = random.Random(12)
+    for g in graphs:
+        assert g.unit == g.s0.denominator**g.level
+        for s in (0, rng.randrange(len(g.vertices))):
+            units, want = g._walk(s)[0], _fraction_walk(g, s)
+            assert all(type(d) is int for d in units)
+            assert [Fraction(d, g.unit) for d in units] == want
+        assert g.distances_from(g.vertices[s]) == want
+
+
+def _reference_ball(g, center, radius):
+    """Oracle: interior, frontier, cut edges with t, and distances of the open ball, in Fractions."""
+    dist = _fraction_walk(g, g.vertex_id(center))
+    interior = frozenset(v for v, d in zip(g.vertices, dist) if d < radius)
+    crossings = []
+    for i, j, c in g.edges:
+        if (dist[i] < radius) != (dist[j] < radius):
+            inner, outer = (i, j) if dist[i] < radius else (j, i)
+            crossings.append((inner, outer, (radius - dist[inner]) * c))
+    cut_edges = [(g.vertices[i], g.vertices[j], t) for i, j, t in sorted(crossings)]
+    return interior, frozenset(v for _, v, _ in cut_edges), cut_edges, dist
+
+
+def _reference_classify(g, dist, radius):
+    """Oracle: the cell distance bound over each cell's corners, in Fractions."""
+    scale = Fraction(1, 2**g.level)
+    inside, straddle = [], []
+    for k in range(len(g.words)):
+        d1, d2, d3 = (dist[q] for q in g.corners[3 * k : 3 * k + 3])
+        if d1 + scale < radius or d2 + 2 * scale < radius or d3 + 2 * scale < radius:
+            inside.append(k)
+        elif min(d1, d2, d3) < radius:
+            straddle.append(k)
+    return inside, straddle
+
+
+def _reference_extrema(g, dist, values, radius):
+    """Oracle: extrema over the vertices at distance < radius and the interpolated cut edges."""
+    xs = [float(x) for x, d in zip(values, dist) if d < radius]
+    for i, j, c in g.edges:
+        if dist[i] > dist[j]:
+            i, j = j, i
+        if dist[i] < radius <= dist[j]:
+            t = (radius - dist[i]) * c
+            xs.append(float(values[i]) + float(t) * (float(values[j]) - float(values[i])))
+    return min(xs), max(xs)
+
+
+def test_ball_region_matches_fraction_reference():
+    rng = random.Random(2026)
+    graphs = [ball_graph(n, n + 3) for n in (1, 2, 3)]
+    graphs += [build_level_graph(level, s0) for level in (2, 4) for s0 in (HALF, Fraction(1, 3), Fraction(2, 5))]
+    on_vertex = 0
+    for g in graphs:
+        for center in (Q0, g.vertices[rng.randrange(len(g.vertices))]):
+            dist = _fraction_walk(g, g.vertex_id(center))
+            radii = [Fraction(1, 3), Fraction(3, 7), Fraction(1, 4)]
+            radii += [d for d in rng.sample(dist, 3) if d > 0]  # where d < r flips
+            radii += [Fraction(rng.randint(1, 99), rng.randint(1, 99)) for _ in range(3)]
+            for r in radii:
+                region = ball(g, center, r)
+                interior, frontier, cut_edges, ref_dist = _reference_ball(g, center, r)
+                assert region.radius == r and region.center == canonicalize(*center)
+                assert region.interior == interior and region.frontier == frontier
+                assert region.cut_edges == cut_edges and region.dist == ref_dist
+                on_vertex += r in ref_dist
+                values = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in g.vertices]
+                sol = VertexFunction(g, values)
+                for sub in (r, r / 2, r * Fraction(2, 3)):
+                    if any(d < sub for d in ref_dist):
+                        assert extrema_over_subball(region, sol, sub) == _reference_extrema(g, ref_dist, values, sub)
+                    if g.s0 == HALF:
+                        got = classify_region_cells(region, radius=None if sub == r else sub)
+                        assert got == _reference_classify(g, ref_dist, sub)
+    assert on_vertex >= 20
 
 
 def test_ball_cell_words_cover():
