@@ -36,7 +36,7 @@ Q0: Vertex = ("2", 1)
 
 
 def check_word(word: str) -> str:
-    if any(ch not in ALPHABET for ch in word):
+    if not _all_in(word, ALPHABET):
         raise ValueError(f"invalid word {word!r}: digits must be in 0123")
     return word
 

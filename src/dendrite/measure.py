@@ -7,9 +7,10 @@ through the self-similar fixed-point identities, and as certified
 interval bounds by adaptive cell refinement.  The refinement descends the
 cell-state recursion of `closed_forms`, the one that `eval_closed` reads.
 
-Both certified descents, the refinement and the ball-measure bounds, run
-in Python ints: masses, values and distances are integers in a common
-unit, and each `Fraction` is converted with `divmod`, exactly or with an
+Both certified descents, the refinement and the ball cover that the
+ball-measure bounds count (`network._ball_cover`), run in Python ints:
+masses, values and distances are integers in a common unit, and each
+`Fraction` is converted with `divmod`, exactly or with an
 `ArithmeticError`.  The refinement's unit grows with the deepest cell it
 has pushed, so a depth cap far past the relative-gap stop does not
 enlarge its integers.
@@ -20,13 +21,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Optional
 
-from .addressing import Vertex, canonicalize, check_word, in_cell
+from .addressing import Vertex, canonicalize, check_word
 from .closed_forms import HarmonicSpec, _spec_state, _state_children
 from .metric import Metric
-from .network import BallRegion
+from .network import _CORNER_REACH, BallRegion, _ball_cover
 
 
 @dataclass(frozen=True)
@@ -66,9 +68,10 @@ class WeightVector:
     def parse(cls, text: str) -> "WeightVector":
         try:
             a, b = text.split(",")
-            return cls(Fraction(a), Fraction(b))
+            w0, w2 = Fraction(a), Fraction(b)
         except ValueError as exc:
             raise ValueError(f"weights must look like 'w0,w2', got {text!r}") from exc
+        return cls(w0, w2)
 
     def __str__(self) -> str:
         return f"{self.w0},{self.w2}"
@@ -81,9 +84,10 @@ def cell_measure(w: WeightVector, word: str) -> Fraction:
     return w.w0**a * w.w2 ** (len(word) - a)
 
 
-def cell_measure_table(w: WeightVector, level: int) -> list[Fraction]:
+@cache
+def cell_measure_table(w: WeightVector, level: int) -> tuple[Fraction, ...]:
     """Measures of the level-`level` cells, indexed by their digits in {0,1}."""
-    return [cell_measure(w, "0" * a + "2" * (level - a)) for a in range(level + 1)]
+    return tuple(cell_measure(w, "0" * a + "2" * (level - a)) for a in range(level + 1))
 
 
 @dataclass(frozen=True)
@@ -343,10 +347,6 @@ def integrate_pw_harmonic(
 # measures of metric balls
 
 
-# farthest distance from F_w(q1), F_w(q2), F_w(q3) to a point of K_w, in units of s_w
-_CORNER_REACH = (1, 2, 2)
-
-
 def classify_region_cells(region: BallRegion, radius: Optional[Fraction] = None):
     """Split the region's level cells into inside / straddling the open ball.
 
@@ -392,85 +392,21 @@ def measure_ball_bounds(
 ) -> IntegralBounds:
     """Certified mu-bounds of the open ball B(center, radius), any lattice center.
 
-    Descends the cell hierarchy down to `max_depth`.  A cell counts as
-    inside when some corner's distance plus its reach (`_CORNER_REACH`
-    times the cell's scale) is below the radius; it is dropped when all
-    three corners are at least the radius away and it does not hold the
-    center; a straddling cell at `max_depth` counts for the upper bound
-    only.  Corner distances are computed exactly with `metric.dist` along
-    the center's own cell chain and propagate through the parent's
-    corners everywhere else.
-
-    The loop runs in integers.  With s0 = p/q, every distance and scale
-    is expressed in the unit 1/U, U = q^(D+2) * den(radius), where D is
-    the larger of `max_depth` and the length of the center's word.  Each
-    `Fraction` distance is converted with `divmod`, and a nonzero
-    remainder raises `ArithmeticError`: the conversion is exact or
-    refused, so every comparison equals the rational one.  A child's
-    scale is its parent's divided by q, times p or q - p.  Inside cells are
-    counted in a table indexed by (depth, a), with a the cell's number of
-    digits in {0,1}, and depth-capped cells, all at `max_depth`, by a;
-    the counts are weighed once at the end with `cell_measure_table`.
+    Counts the cells of `network._ball_cover` down to `max_depth`: inside
+    cells by (depth, a), a the cell's number of digits in {0,1}, and the
+    straddling cells at `max_depth`, which count for the upper bound only,
+    by a; the counts are weighed once with `cell_measure_table`.
     """
     radius = Fraction(radius)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
     metric = metric or Metric(Fraction(1, 2))
     center = canonicalize(*center)
     if radius >= 2:
         return IntegralBounds(Fraction(1), Fraction(1))
-    p, q = metric.s0.numerator, metric.s0.denominator
-    unit = q ** (max(max_depth, len(center[0]), 0) + 2) * radius.denominator
-
-    def units(d: Fraction, per_unit: int = unit) -> int:
-        n, rem = divmod(d.numerator * per_unit, d.denominator)
-        if rem:
-            raise ArithmeticError(f"distance {d} is not a multiple of 1/{per_unit}")
-        return n
-
-    def center_dists(word: str) -> tuple[int, int, int]:
-        return tuple(units(metric.dist(center, (word, j))) for j in (1, 2, 3))
-
-    # per child digit: its count of digits in {0,1}, its scale over the
-    # parent's scale / q, and the distances from the parent's corners k to
-    # its corners j in that unit (the unit cell's 4 x 3 x 3 local distances)
-    digits = [
-        (str(i), int(i < 2), p if i < 2 else q - p,
-         [[units(metric.dist(("", k), (str(i), j)), q) for k in (1, 2, 3)] for j in (1, 2, 3)])
-        for i in range(4)
-    ]
-    r = units(radius)
-    reach1, reach2, reach3 = _CORNER_REACH
     top = max(max_depth, 0)
     inside = [[0] * (depth + 1) for depth in range(top + 1)]
-    capped = [0] * (top + 1)  # every depth-capped cell lies at depth `top`
-    # a cell keeps its word only while it holds the center; else it is None
-    stack = [("", 0, 0, unit, *center_dists(""))]
-    while stack:
-        word, depth, a, scale, d1, d2, d3 = stack.pop()
-        if d1 + reach1 * scale < r or d2 + reach2 * scale < r or d3 + reach3 * scale < r:
-            inside[depth][a] += 1
-            continue
-        if word is None and d1 >= r and d2 >= r and d3 >= r:
-            continue
-        if depth >= max_depth:
-            capped[a] += 1
-            continue
-        step = scale // q
-        for digit, da, factor, ((t11, t12, t13), (t21, t22, t23), (t31, t32, t33)) in digits:
-            if word is None:
-                stack.append((
-                    None, depth + 1, a + da, step * factor,
-                    min(d1 + step * t11, d2 + step * t12, d3 + step * t13),
-                    min(d1 + step * t21, d2 + step * t22, d3 + step * t23),
-                    min(d1 + step * t31, d2 + step * t32, d3 + step * t33),
-                ))
-            else:
-                child = word + digit
-                stack.append((
-                    child if in_cell(center, child) else None, depth + 1, a + da, step * factor,
-                    *center_dists(child),
-                ))
+    capped = [0] * (top + 1)
+    for word, a, whole in _ball_cover(center, radius, top, metric):
+        (inside[len(word)] if whole else capped)[a] += 1
 
     lo = Fraction(0)
     for depth, counts in enumerate(inside):

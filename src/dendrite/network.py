@@ -16,7 +16,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .addressing import Vertex, canonicalize, vertex_str, words_of_length
+from .addressing import Q0, Vertex, canonicalize, in_cell, vertex_str, words_of_length
+from .metric import Metric
 
 
 class CapacityError(Exception):
@@ -241,32 +242,91 @@ def build_level_graph(level: int, s0: Fraction = Fraction(1, 2)) -> LevelGraph:
     return build_cells_graph(words_of_length(level), s0, level)
 
 
-def ball_cell_words(n: int, level: int) -> list[str]:
-    """Level-`level` cells covering the closed ball B(q0, 2^-n) (s0 = 1/2).
+# farthest distance from F_w(q1), F_w(q2), F_w(q3) to a point of K_w, in units of s_w
+_CORNER_REACH = (1, 2, 2)
 
-    The closed ball is the union of the 2^(n-1) lower branches K_{2w}
-    (w in {0,1}^(n-1)) and the upper spine cells K_{0 2^(n-1) 0^m 2}; the
-    spine tip is completed with the level-L cells around the apex.
+
+def _ball_cover(center: Vertex, radius: Fraction, max_depth: int, metric: Metric):
+    """Descend the cell tree over the open ball B(center, radius).
+
+    Yields (word, a, inside) for each maximal cell K_w inside the ball
+    and each cell at depth `max_depth` that straddles it, a the number of
+    digits of w in {0,1}.  A cell meets the rest of K only at its corners,
+    and an arc between two of its points stays in it (Kigami 2001, ch.
+    2-3).  So the root and the cells that hold the center (in them, on no
+    corner) form one chain, with exact `metric.dist` corner distances, and
+    any other cell is entered through one corner e: a point x of it lies
+    at d(e) + d(e, x).  A cell lies inside when some corner's distance plus
+    its reach (`_CORNER_REACH` times the cell's scale) is below the
+    radius; off the chain that corner is e, a cell with d(e) >= radius is
+    dropped, and a child is entered through its corner nearest to e.
+
+    Integers throughout: with s0 = p/q, distances and scales are in the
+    unit 1/U, U = q^(D+2) den(radius), D the larger of `max_depth` and the
+    center's word length.  Each `Fraction` is converted with `divmod`, and
+    a nonzero remainder raises `ArithmeticError`, so every comparison
+    equals the rational one.
     """
-    if n < 1:
-        raise ValueError("ball index n must be >= 1")
-    if level < n + 1:
-        raise ValueError(f"level {level} too small for ball index {n}")
-    words: list[str] = []
-    suffix_len = level - n
-    for branch_bits in range(1 << (n - 1)):
-        prefix = "2" + format(branch_bits, f"0{n - 1}b") if n > 1 else "2"
-        for tail in words_of_length(suffix_len):
-            words.append(prefix + tail)
-    upper = "0" + "2" * (n - 1)
-    for m in range(level - n):
-        prefix = upper + "0" * m + "2"
-        for tail in words_of_length(level - len(prefix)):
-            words.append(prefix + tail)
-    tip = upper + "0" * (level - n - 1)
-    for d in "013":
-        words.append(tip + d)
-    return words
+    radius = Fraction(radius)
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    center = canonicalize(*center)
+    p, q = metric.s0.numerator, metric.s0.denominator
+    unit = q ** (max(max_depth, len(center[0]), 0) + 2) * radius.denominator
+
+    def units(d: Fraction, per_unit: int = unit) -> int:
+        n, rem = divmod(d.numerator * per_unit, d.denominator)
+        if rem:
+            raise ArithmeticError(f"distance {d} is not a multiple of 1/{per_unit}")
+        return n
+
+    def center_dists(word: str) -> tuple[int, int, int]:
+        return tuple(units(metric.dist(center, (word, j))) for j in (1, 2, 3))
+
+    # per child digit i: its count of digits in {0,1}, its scale over the
+    # parent's scale / q, and per parent corner the distance to the child's
+    # nearest corner in that unit, with that corner (from the unit cell)
+    digits = [
+        (str(i), int(i < 2), p if i < 2 else q - p,
+         [min((units(metric.dist(("", k), (str(i), j + 1)), q), j) for j in range(3)) for k in (1, 2, 3)])
+        for i in range(4)
+    ]
+    r = units(radius)
+    stack = []  # the cells off the chain, as (word, a, scale, d(e), e)
+    held = "", 0, unit, center_dists("")
+    while held:
+        word, a, scale, ds = held
+        inside = any(d + reach * scale < r for d, reach in zip(ds, _CORNER_REACH))
+        if inside or len(word) >= max_depth:
+            yield word, a, inside
+            break
+        step, held = scale // q, None
+        for digit, da, factor, _ in digits:
+            child, cds = word + digit, center_dists(word + digit)
+            if 0 not in cds and in_cell(center, child):
+                held = child, a + da, step * factor, cds
+            else:
+                stack.append((child, a + da, step * factor, *min(zip(cds, range(3)))))
+    while stack:
+        word, a, scale, d, e = stack.pop()
+        if d >= r:
+            continue
+        inside = d + _CORNER_REACH[e] * scale < r
+        if inside or len(word) >= max_depth:
+            yield word, a, inside
+            continue
+        step = scale // q
+        for digit, da, factor, moves in digits:
+            stack.append((word + digit, a + da, step * factor, d + step * moves[e][0], moves[e][1]))
+
+
+def ball_cell_words(center: Vertex, radius: Fraction, level: int) -> list[str]:
+    """Level-`level` cells that meet the open ball B(center, radius) (s0 = 1/2)."""
+    return [
+        word + tail
+        for word, _, _ in _ball_cover(center, radius, level, Metric(Fraction(1, 2)))
+        for tail in words_of_length(level - len(word))
+    ]
 
 
 @dataclass
@@ -366,7 +426,11 @@ def ball_graph(n: int, level: int, s0: Fraction = Fraction(1, 2)) -> LevelGraph:
     """Subgraph covering B(q0, 2^-n) at the given level (much smaller than the full graph)."""
     if Fraction(s0) != Fraction(1, 2):
         raise ValueError("ball subgraphs assume s0 = 1/2 (dyadic radii)")
-    return build_cells_graph(ball_cell_words(n, level), s0, level)
+    if n < 1:
+        raise ValueError("ball index n must be >= 1")
+    if level < n + 1:
+        raise ValueError(f"level {level} too small for ball index {n}")
+    return build_cells_graph(ball_cell_words(Q0, Fraction(1, 2**n), level), s0, level)
 
 
 def schur_trace(graph: Network, keep: Sequence[Vertex]) -> Network:

@@ -220,6 +220,14 @@ def test_zero_denominator_names_its_flag(monkeypatch, capsys, argv, flag, text):
     assert captured.err.splitlines() == [f"error: {flag} got {text!r}: zero denominator"]
 
 
+def test_weights_of_the_right_shape_are_refused_for_their_values(monkeypatch, capsys):
+    code, builds = _main_counting_builds(monkeypatch, ["--weights", "1,1", "measure", "--cell", "2"])
+    assert (code, builds) == (3, 0)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --weights got '1,1': weights must satisfy 2 w0 + 2 w2 = 1"]
+
+
 @pytest.mark.parametrize(
     "argv", [["harmonics", "--kind", "uup", "--at", "002:1"], ["measure", "--integrate", "uup"]]
 )

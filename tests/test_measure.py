@@ -197,8 +197,9 @@ def test_cell_measure_matches_product(weights):
 
 
 def test_cell_measure_rejects_invalid_word():
-    with pytest.raises(ValueError):
-        cell_measure(EQUAL, "04")
+    for word in ("04", "0x1"):
+        with pytest.raises(ValueError):
+            cell_measure(EQUAL, word)
 
 
 def test_classify_region_cells_matches_corner_bound():

@@ -14,6 +14,7 @@ from dendrite.network import (
     ball,
     ball_cell_words,
     ball_graph,
+    build_cells_graph,
     build_level_graph,
     resistance_distance,
     schur_trace,
@@ -239,11 +240,82 @@ def test_ball_region_matches_fraction_reference():
     assert on_vertex >= 20
 
 
+def _meeting_cells(g, center, radius):
+    """Oracle: the level cells of a full graph with a corner at distance < radius."""
+    dist = _fraction_walk(g, g.vertex_id(center))
+    return {
+        w for k, w in enumerate(g.words)
+        if min(dist[q] for q in g.corners[3 * k : 3 * k + 3]) < radius
+    }
+
+
 def test_ball_cell_words_cover():
-    words = ball_cell_words(2, 6)
+    words = ball_cell_words(Q0, Fraction(1, 4), 6)
     assert len(set(words)) == len(words)
     assert all(len(w) == 6 for w in words)
     assert all(w[0] == "2" or w.startswith("02") for w in words)
+    assert set(words) == _meeting_cells(build_level_graph(6), Q0, Fraction(1, 4))
+    # a ball past the diameter takes every cell
+    assert sorted(ball_cell_words(Q1, Fraction(3), 3)) == list(words_of_length(3))
+
+
+def _hand_q0_cover(n, level):
+    """Reference: the cover of B(q0, 2^-n) derived by hand for q0 alone.
+
+    The 2^(n-1) lower branches K_{2w} (w in {0,1}^(n-1)), the upper spine
+    cells K_{0 2^(n-1) 0^m 2}, and the level cells around the apex.
+    """
+    words = []
+    for bits in range(1 << (n - 1)):
+        prefix = "2" + format(bits, f"0{n - 1}b") if n > 1 else "2"
+        words += [prefix + tail for tail in words_of_length(level - n)]
+    upper = "0" + "2" * (n - 1)
+    for m in range(level - n):
+        prefix = upper + "0" * m + "2"
+        words += [prefix + tail for tail in words_of_length(level - len(prefix))]
+    tip = upper + "0" * (level - n - 1)
+    return words + [tip + d for d in "013"]
+
+
+def _region_by_vertex(region):
+    g = region.graph
+    units = {v: d for v, d in zip(g.vertices, region.units)}
+    inside, straddle = classify_region_cells(region)
+    cells = ({g.words[k] for k in inside}, {g.words[k] for k in straddle})
+    return units, cells, (region.interior, region.frontier, region.cut_edges, region.unit)
+
+
+def test_q0_ball_graph_matches_hand_derived_cover():
+    for n in range(1, 5):
+        for level in range(n + 1, n + 6):
+            radius = Fraction(1, 2**n)
+            got = ball(ball_graph(n, level), Q0, radius)
+            want = ball(build_cells_graph(_hand_q0_cover(n, level), HALF, level), Q0, radius)
+            units, cells, shape = _region_by_vertex(got)
+            want_units, want_cells, want_shape = _region_by_vertex(want)
+            assert shape == want_shape and cells == want_cells
+            assert (got.upper_boundary, got.lower_boundary) == (want.upper_boundary, want.lower_boundary)
+            assert all(want_units[v] == d for v, d in units.items())
+            # the hand cover's extra apex cells lie outside the ball
+            cut = got.cut()
+            assert all(d >= cut for v, d in want_units.items() if v not in units)
+
+
+def test_ball_cell_words_match_full_graphs_at_any_center():
+    rng = random.Random(4)
+    for level in range(3, 7):
+        full = build_level_graph(level)
+        for _ in range(4):
+            center = full.vertices[rng.randrange(len(full.vertices))]
+            for radius in (Fraction(1, 2 ** rng.randint(1, level)), Fraction(rng.randint(1, 40), rng.randint(2, 97))):
+                words = ball_cell_words(center, radius, level)
+                assert set(words) == _meeting_cells(full, center, radius)
+                got = ball(build_cells_graph(words, HALF, level), center, radius)
+                want = ball(full, center, radius)
+                units, cells, shape = _region_by_vertex(got)
+                want_units, want_cells, want_shape = _region_by_vertex(want)
+                assert shape == want_shape and cells == want_cells
+                assert all(want_units[v] == d for v, d in units.items())
 
 
 def test_export_json_round_trip():
