@@ -12,6 +12,7 @@ import argparse
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -353,8 +354,15 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -1 and -0.5 for values, and -1/2 for an option: read every -<digit> token as a value
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="dendrite",
         description="Dirichlet-form experiments on the tree-like self-affine fractal",
     )

@@ -17,7 +17,7 @@ from .dirichlet import VertexFunction, equilibrium_potential, green_g1
 from .measure import (
     IntegralBounds,
     WeightVector,
-    cell_measure_table,
+    cell_measure_units,
     classify_region_cells,
     harmonic_weights,
 )
@@ -53,17 +53,20 @@ def region_cell_masses(w: WeightVector, region: BallRegion) -> dict[Vertex, Frac
     """Ball mass lumped onto interior lattice points, corner-weighted by `harmonic_weights`."""
     graph = region.graph
     p = harmonic_weights(w, graph.s0)
+    P = math.lcm(*(pj.denominator for pj in p))
+    nums, den = cell_measure_units(w, graph.level)
     inside, straddle = classify_region_cells(region)
-    # a cell's share at each corner, by the cell's digits in {0,1}
-    shares = [[mu * pj for pj in p] for mu in cell_measure_table(w, graph.level)]
-    masses: dict[Vertex, Fraction] = {}
+    # a cell's corner shares by its digits in {0,1}, in the unit 1/(den P): n_a p_j P
+    shares = [[n * (pj * P).numerator for pj in p] for n in nums]
+    cut, units, corners, digits = region.cut(), region.units, graph.corners, graph.s0_digits
+    sums: dict[int, int] = {}
     for k in inside + straddle:
-        share = shares[graph.s0_digits[k]]
+        share = shares[digits[k]]
         for j in range(3):
-            v = graph.vertices[graph.corners[3 * k + j]]
-            if v in region.interior:
-                masses[v] = masses.get(v, Fraction(0)) + share[j]
-    return masses
+            i = corners[3 * k + j]
+            if units[i] < cut:  # an interior vertex
+                sums[i] = sums.get(i, 0) + share[j]
+    return {graph.vertices[i]: Fraction(s, den * P) for i, s in sums.items()}
 
 
 def exit_time_profile(
@@ -96,18 +99,20 @@ def g1_via_identity(
     region, psi, r = boundary_resistance(x, n, level, graph=graph, mode="exact")
     graph = region.graph
     inside, straddle = classify_region_cells(region)
-    p = harmonic_weights(w, graph.s0)
-    table = cell_measure_table(w, graph.level)
-    lo = Fraction(0)
-    hi = Fraction(0)
-    exact = Fraction(0)
+    nums, den = cell_measure_units(w, graph.level)
+    values, corners, digits = psi.values, graph.corners, graph.s0_digits
+    V = math.lcm(*{v.denominator for v in values})  # psi's Kirchhoff denominator, a small unit
+    lo = hi = s1 = s2 = s3 = 0
     for k in inside + straddle:
-        mu = table[graph.s0_digits[k]]
-        vals = [psi.values[graph.corners[3 * k + j]] for j in range(3)]
-        lo += mu * min(vals)
-        hi += mu * max(vals)
-        exact += mu * sum(p[j] * vals[j] for j in range(3))
-    return IntegralBounds(r * lo, r * hi, exact=r * exact)
+        mu = nums[digits[k]]
+        a, b, c = values[corners[3 * k]], values[corners[3 * k + 1]], values[corners[3 * k + 2]]
+        a, b, c = (a.numerator * (V // a.denominator), b.numerator * (V // b.denominator),
+                   c.numerator * (V // c.denominator))
+        lo, hi = lo + mu * min(a, b, c), hi + mu * max(a, b, c)
+        s1, s2, s3 = s1 + mu * a, s2 + mu * b, s3 + mu * c
+    p, unit = harmonic_weights(w, graph.s0), den * V
+    exact = (p[0] * s1 + p[1] * s2 + p[2] * s3) / unit
+    return IntegralBounds(r * Fraction(lo, unit), r * Fraction(hi, unit), exact=r * exact)
 
 
 @dataclass

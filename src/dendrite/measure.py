@@ -80,14 +80,22 @@ class WeightVector:
 def cell_measure(w: WeightVector, word: str) -> Fraction:
     """mu(K_w) = w0^a w2^(L-a), with a the number of digits of w in {0,1}."""
     check_word(word)
-    a = word.count("0") + word.count("1")
-    return w.w0**a * w.w2 ** (len(word) - a)
+    return cell_measure_table(w, len(word))[word.count("0") + word.count("1")]
+
+
+@cache
+def cell_measure_units(w: WeightVector, level: int) -> tuple[tuple[int, ...], int]:
+    """(n, d^level) with mu(K_w) = n[a] / d^level, a the digits of w in {0,1}, d = lcm(den w0, den w2)."""
+    d = lcm(w.w0.denominator, w.w2.denominator)
+    n0, n2 = (w.w0 * d).numerator, (w.w2 * d).numerator
+    return tuple(n0**a * n2 ** (level - a) for a in range(level + 1)), d**level
 
 
 @cache
 def cell_measure_table(w: WeightVector, level: int) -> tuple[Fraction, ...]:
     """Measures of the level-`level` cells, indexed by their digits in {0,1}."""
-    return tuple(cell_measure(w, "0" * a + "2" * (level - a)) for a in range(level + 1))
+    nums, den = cell_measure_units(w, level)
+    return tuple(Fraction(n, den) for n in nums)
 
 
 @dataclass(frozen=True)
@@ -253,9 +261,9 @@ class HarmonicIntegrator:
         pushed cells, or when the worst cell lies at `max_depth`.
 
         The loop runs in integers; cell states stay the `Fraction` tuples
-        of `_state_children`.  With D = lcm(den w0, den w2), n0 = w0 D and
-        n2 = w2 D, a depth-d cell with a digits in {0,1} has mass
-        n0^a n2^(d-a) D^(E-d) in the unit D^-E, and a child's mass is its
+        of `_state_children`.  With ((n2, n0), D) = `cell_measure_units(w,
+        1)`, a depth-d cell with a digits in {0,1} has mass n0^a n2^(d-a)
+        D^(E-d) in the unit D^-E, and a child's mass is its
         parent's // D times n0 or n2.  With s0 = p/q and K = lcm(2q, 16), a
         child's denominators are at most q, 2q or 16 times its parent's,
         so every value at depth <= E is a multiple of 1/(M K^E), M the lcm
@@ -271,9 +279,7 @@ class HarmonicIntegrator:
         refinement's.
         """
         s0 = self.s0
-        w0, w2 = self.w.w0, self.w.w2
-        D = lcm(w0.denominator, w2.denominator)
-        n0, n2 = int(w0 * D), int(w2 * D)
+        (n2, n0), D = cell_measure_units(self.w, 1)
         factors = (n0, n0, n2, n2)
         K = lcm(2 * s0.denominator, 16)
         vunit = lcm(*(v.denominator for v in state[1:]))
@@ -377,10 +383,10 @@ def ball_measure(w: WeightVector, region: BallRegion) -> IntegralBounds:
     if region.radius >= 2:
         return IntegralBounds(Fraction(1), Fraction(1))
     inside, straddle = classify_region_cells(region)
-    mu, digits = cell_measure_table(w, region.level), region.graph.s0_digits
-    lo = sum((mu[digits[k]] for k in inside), Fraction(0))
-    hi = lo + sum((mu[digits[k]] for k in straddle), Fraction(0))
-    return IntegralBounds(lo, min(hi, Fraction(1)))
+    (nums, den), digits = cell_measure_units(w, region.level), region.graph.s0_digits
+    lo = sum(nums[digits[k]] for k in inside)
+    hi = lo + sum(nums[digits[k]] for k in straddle)
+    return IntegralBounds(Fraction(lo, den), min(Fraction(hi, den), Fraction(1)))
 
 
 def measure_ball_bounds(

@@ -187,6 +187,9 @@ BAD_ARGUMENTS = [
     ["ehi", "--n", "2", "--epsilon", "0"],
     ["weh", "--n", "2", "--delta", "0"],
     ["weh", "--n", "2", "--rho", "x"],
+    ["ehi", "--n", "2", "--epsilon", "-1/2"],
+    ["weh", "--n", "2", "--rho", "-1/2"],
+    ["--s0", "-1/2", "measure", "--cell", "2"],
     ["verify", "--suite", "nope"],
     ["graph", "--level", "-1"],
 ]
@@ -218,6 +221,23 @@ def test_zero_denominator_names_its_flag(monkeypatch, capsys, argv, flag, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {flag} got {text!r}: zero denominator"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["doubling", "--n", "2", "--radius", "-1/2"], "radius must be positive"),
+     (["ehi", "--n", "2", "--epsilon", "-1/2"], "epsilon must lie in (0, 1/2]"),
+     (["weh", "--n", "2", "--rho", "-1/2"], "rho must be positive"),
+     (["--s0", "-1/2", "measure", "--cell", "2"], "s0 must lie strictly between 0 and 1")],
+    ids=["radius", "epsilon", "rho", "s0"],
+)
+def test_negative_fractions_reach_their_value_checks(monkeypatch, capsys, argv, message):
+    """argparse would read -1/2 as an option and exit 2; the value's own check answers instead."""
+    code, builds = _main_counting_builds(monkeypatch, argv)
+    assert (code, builds) == (3, 0)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 def test_weights_of_the_right_shape_are_refused_for_their_values(monkeypatch, capsys):

@@ -1,9 +1,12 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from dendrite.addressing import canonicalize
+from dendrite.addressing import canonicalize, parse_vertex, vertex_str
 from dendrite.exit_time import (
     boundary_resistance,
     exit_ratio_experiment,
@@ -11,9 +14,10 @@ from dendrite.exit_time import (
     fit_log2_slope,
     g1_via_identity,
     q0_ball,
+    region_cell_masses,
 )
 from dendrite.harnack import BoundaryProfile, boundary_harmonic
-from dendrite.measure import WeightVector
+from dendrite.measure import WeightVector, ball_measure
 from dendrite.network import ball, ball_graph
 from dendrite.reduction import psi_skeleton_values, q0_boundary_resistance
 
@@ -87,6 +91,58 @@ def test_g1_identity_contains_direct_solve():
         b = g1_via_identity(x, n, EQUAL, level, graph=g)
         assert b.lower <= g1[x] <= b.upper
         assert b.exact == g1[x]
+
+
+def test_cell_pairings_match_recorded_values():
+    """`g1_via_identity`, `region_cell_masses` and `ball_measure` against values
+    recorded before their per-cell sums moved to integer units.
+
+    The identity cases take q0 and two interior points at half the radius
+    of B(q0, 2^-n), n = 1..3, at levels n + 4 and n + 5, with the weights
+    1/4,1/4, 1/10,2/5, 3/10,1/5 and 1/8,3/8 taken in turn.  The masses and
+    ball measures cover the exit-ratio balls (n = 2..5, level n + 5) at
+    every one of those weights; a masses dict is kept as the sha256 of its
+    "vertex value" lines, in insertion order, and its length.
+    """
+    golden = json.loads(Path(__file__).with_name("exit_time_golden.json").read_text())
+    graphs = {}
+    wrong = []
+    for case in golden["g1_via_identity"]:
+        n, level = case["n"], case["level"]
+        if (n, level) not in graphs:
+            graphs[n, level] = ball_graph(n, level)
+        g = graphs[n, level]
+        b = g1_via_identity(parse_vertex(case["x"]), n, WeightVector.parse(case["weights"]), level, graph=g)
+        if (b.lower, b.upper, b.exact) != tuple(Fraction(case[k]) for k in ("lower", "upper", "exact")):
+            wrong.append(case)
+    regions = {}
+    for masses_case, ball_case in zip(golden["region_cell_masses"], golden["ball_measure"]):
+        n, level, w = masses_case["n"], masses_case["level"], WeightVector.parse(masses_case["weights"])
+        if n not in regions:
+            regions[n] = q0_ball(n, level)
+        region = regions[n]
+        masses = region_cell_masses(w, region)
+        text = "\n".join(f"{vertex_str(v)} {m}" for v, m in masses.items())
+        if (len(masses), hashlib.sha256(text.encode()).hexdigest()) != (masses_case["count"], masses_case["sha256"]):
+            wrong.append(masses_case)
+        b = ball_measure(w, region)
+        if (b.lower, b.upper) != (Fraction(ball_case["lower"]), Fraction(ball_case["upper"])):
+            wrong.append(ball_case)
+    assert [len(golden[k]) for k in ("g1_via_identity", "region_cell_masses", "ball_measure")] == [18, 16, 16]
+    assert not wrong
+
+
+@pytest.mark.parametrize("weights", ["1/4,1/4", "1/10,2/5"])
+def test_float_green_solve_agrees_with_exact(weights):
+    """G1 in float mode is within 1e-12 relative of the exact solve at every
+    vertex of B(q0, 2^-n), n = 1..3, level n + 4."""
+    w = WeightVector.parse(weights)
+    for n in (1, 2, 3):
+        g = ball_graph(n, n + 4)
+        _, exact = exit_time_profile(n, w, n + 4, graph=g, mode="exact")
+        _, approx = exit_time_profile(n, w, n + 4, graph=g, mode="float")
+        for v, e, f in zip(g.vertices, exact.values, approx.values):
+            assert abs(f - float(e)) <= 1e-12 * abs(float(e)), (n, vertex_str(v))
 
 
 def test_g1_bounds_at_q0_against_eps_window():
