@@ -357,8 +357,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse takes only -1 and -0.5 for values, and -1/2 for an option: read every -<digit> token as a value
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-\.?\d")  # -1/2 is a value, as -1 and -0.5 are
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -80,7 +80,8 @@ class WeightVector:
 def cell_measure(w: WeightVector, word: str) -> Fraction:
     """mu(K_w) = w0^a w2^(L-a), with a the number of digits of w in {0,1}."""
     check_word(word)
-    return cell_measure_table(w, len(word))[word.count("0") + word.count("1")]
+    a = word.count("0") + word.count("1")
+    return w.w0**a * w.w2 ** (len(word) - a)
 
 
 @cache

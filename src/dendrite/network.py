@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -244,7 +244,7 @@ def build_level_graph(level: int, s0: Fraction = Fraction(1, 2)) -> LevelGraph:
 
 # farthest distance from F_w(q1), F_w(q2), F_w(q3) to a point of K_w, in units of s_w
 _CORNER_REACH = (1, 2, 2)
-_HALF_METRIC = Metric(Fraction(1, 2))  # one for every `ball_cell_words` cover: its memo persists
+_half_metric = cache(lambda: Metric(Fraction(1, 2)))  # made on first use; every cover shares its memo
 
 
 def _ball_cover(center: Vertex, radius: Fraction, max_depth: int, metric: Metric):
@@ -325,7 +325,7 @@ def ball_cell_words(center: Vertex, radius: Fraction, level: int) -> list[str]:
     """Level-`level` cells that meet the open ball B(center, radius) (s0 = 1/2)."""
     return [
         word + tail
-        for word, _, _ in _ball_cover(center, radius, level, _HALF_METRIC)
+        for word, _, _ in _ball_cover(center, radius, level, _half_metric())
         for tail in words_of_length(level - len(word))
     ]
 
