@@ -149,8 +149,6 @@ def test_g1_bounds_at_q0_against_eps_window():
     # int-q0 window: psi integral per unit ball mass within [eps0 ^ eps1, 4 (eps0 v eps1)]
     n, level = 2, 8
     g = ball_graph(n, level)
-    from dendrite.measure import ball_measure
-
     region = ball(g, Q0, Fraction(1, 4))
     b = g1_via_identity(Q0, n, EQUAL, level, graph=g)
     r = q0_boundary_resistance(n, level)
