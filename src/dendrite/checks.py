@@ -468,7 +468,8 @@ def check_quadrature_sandwich(seed: int = 4):
     w = WeightVector.equal()
     integ = measure.HarmonicIntegrator(w)
     rng = random.Random(seed)
-    state = ("h", Fraction(1), Fraction(0), Fraction(rng.randint(0, 3)))
+    step = closed_forms._int_step(HALF)
+    state = ("h", 1, 0, rng.randint(0, 3))
     stack = [state]
     for _ in range(200):
         st = stack.pop()
@@ -476,8 +477,8 @@ def check_quadrature_sandwich(seed: int = 4):
         ex = integ.exact(st)
         if not lo <= ex <= hi:
             return False, f"exact value escapes the corner sandwich in {st[0]}"
-        kids = closed_forms._state_children(st, HALF)
-        if sum(integ.exact(k) * q for k, q in zip(kids, w.as_tuple())) != ex:
+        kids = closed_forms._state_children(st, step)
+        if sum(integ.exact(k) * q for k, q in zip(kids, w.as_tuple())) != step[0] * ex:
             return False, "children integrals do not sum to the parent"
         stack.append(kids[rng.randrange(4)])
         if not stack:

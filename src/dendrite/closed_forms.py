@@ -5,7 +5,9 @@ function, the upward ladder and the four-piece extension) are
 self-similar: on each cell such a function is fixed by a small cell
 state, and the states of a cell's four children follow from its own
 through the harmonic extension maps.  That one recursion,
-`_state_children`, is how `eval_closed` evaluates the functions (descend
+`_state_children`, runs in integers: a depth-d state holds its values in
+the unit u K^d, u from the root state (`_int_state`) and K = lcm(2q, 16)
+for s0 = p/q.  It is how `eval_closed` evaluates the functions (descend
 along the point's word), how `measure` refines them for certified
 integrals, and where `measure.extension_matrices` reads the harmonic
 extension maps.  The functions and the explicit spine/branch coefficient
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .addressing import Vertex, canonicalize
 
@@ -84,15 +87,40 @@ def _spec_state(spec: HarmonicSpec):
     return ("plus", a, b, c)
 
 
-def _state_children(state, s0: Fraction):
-    """The states of the four children F_0(K), ..., F_3(K) of a cell in `state`."""
+def _state_unit(state) -> int:
+    """The least u with every value of a `Fraction` state a multiple of 1/u."""
+    return lcm(*(v.denominator for v in state[1:]))
+
+
+def _int_state(state):
+    """(ints, u): a `Fraction` state's values v as integers v u, u = `_state_unit(state)`."""
+    u = _state_unit(state)
+    ints = [divmod(v.numerator * u, v.denominator) for v in state[1:]]
+    if any(rem for _, rem in ints):
+        raise ArithmeticError(f"a value of {state} is not a multiple of 1/{u}")
+    return (state[0], *(n for n, _ in ints)), u
+
+
+def _int_step(s0: Fraction):
+    """(K, pK/q, (q-p)K/q, (q-p)K/2q, K/4, K/16) for s0 = p/q, K = lcm(2q, 16): all integers."""
+    p, q = s0.numerator, s0.denominator
+    K = lcm(2 * q, 16)
+    return K, p * K // q, (q - p) * K // q, (q - p) * K // (2 * q), K // 4, K // 16
+
+
+def _state_children(state, step):
+    """The states of the four children F_0(K), ..., F_3(K) of a cell in `state`.
+
+    Values are integers n in a unit u (the value n/u); with `step` = `_int_step(s0)`,
+    the children's come back in the unit u K, as integer sums: no division.
+    """
+    K, c0, c2, lam, k4, k16 = step
     kind = state[0]
-    s2 = 1 - s0
-    lam = s2 / 2
     if kind == "h":
         _, a1, a2, a3 = state
-        mid = s0 * a2 + s2 * a1  # value at the junction q0 on the arc q2 -> q1
-        jval = s2 * a1 + s0 * a3
+        mid = c0 * a2 + c2 * a1  # value at the junction q0 on the arc q2 -> q1
+        jval = c2 * a1 + c0 * a3
+        a1, a2, a3 = a1 * K, a2 * K, a3 * K
         return (
             ("h", a1, mid, a1),
             ("h", a1, a1, jval),
@@ -102,41 +130,45 @@ def _state_children(state, s0: Fraction):
     if kind == "down":
         s = state[1]
         t = s * lam
+        s *= K
         return (("h", s, t, s), ("h", s, s, t), ("down", t), ("down", t))
     if kind == "plus":
         _, a, b, c = state
-        mid = s0 * a + s2 * b
+        mid = c0 * a + c2 * b
+        b, c = b * K, c * K
         return (
             ("h", b, mid, b),
             ("h", b, b, c),
-            ("h", mid, a, mid),
+            ("h", mid, a * K, mid),
             ("down", c),
         )
     if kind == "up":
         s = state[1]
-        t = s / 4
-        zero = ("h", Fraction(0), Fraction(0), Fraction(0))
-        return (("up", t), zero, ("plus", s, t, t / 4), zero)
+        t = s * k4
+        zero = ("h", 0, 0, 0)
+        return (("up", t), zero, ("plus", s * K, t, s * k16), zero)
     raise ValueError(f"unknown cell state {kind!r}")
 
 
 def eval_closed(spec: HarmonicSpec, v: Vertex) -> Fraction:
     """Exact value of the closed-form harmonic at a lattice point.
 
-    Descends the cell states along the word of v's normal form F_w(q_j),
-    then reads the last state's value at its corner q_j.
+    Descends the integer cell states along the word of v's normal form F_w(q_j),
+    then reads the last state's value at its corner q_j, in the unit u K^|w|.
     """
     word, corner = canonicalize(*v)
-    state = _spec_state(spec)
+    state, u = _int_state(_spec_state(spec))
+    step = _int_step(spec.s0)
     for digit in word:
-        state = _state_children(state, spec.s0)[int(digit)]
+        state = _state_children(state, step)[int(digit)]
     kind = state[0]
     if kind == "h":
-        return state[corner]
-    if kind == "plus":
-        _, a, b, _ = state
-        return (b, a, Fraction(0))[corner - 1]
-    return state[1] if corner == (1 if kind == "down" else 2) else Fraction(0)
+        n = state[corner]
+    elif kind == "plus":
+        n = (state[2], state[1], 0)[corner - 1]
+    else:
+        n = state[1] if corner == (1 if kind == "down" else 2) else 0
+    return Fraction(n, u * step[0] ** len(word))
 
 
 def energy_closed(spec: HarmonicSpec) -> Fraction:

@@ -45,6 +45,12 @@ def _as_mode(x, mode: str):
     return Fraction(x) if mode == "exact" else float(x)
 
 
+def _float_reader():
+    """c -> float(c), worked out once per conductance object (edges share a few), keyed by id."""
+    floats: dict[int, float] = {}
+    return lambda c: floats.get(id(c)) or floats.setdefault(id(c), float(c))
+
+
 def solve_dirichlet(
     graph: Network,
     pinned: Mapping[Vertex, object],
@@ -78,6 +84,7 @@ def solve_dirichlet(
     # sweep the free subgraph only; cycles through pinned vertices are fine
     # (pinned values are Dirichlet data, their mutual topology is irrelevant)
     n = len(graph.vertices)
+    as_float = _float_reader()
     zero = _as_mode(0, mode)
     one = _as_mode(1, mode)
     parent = [-1] * n
@@ -98,7 +105,7 @@ def solve_dirichlet(
                 if not seen[j]:
                     seen[j] = True
                     parent[j] = i
-                    parent_cond[j] = c if mode == "exact" else float(c)
+                    parent_cond[j] = c if mode == "exact" else as_float(c)
                     queue.append(j)
                 elif j != parent[i]:
                     raise RuntimeError("free subgraph contains a cycle")
@@ -112,7 +119,7 @@ def solve_dirichlet(
         pinned_b = zero
         for j, c in graph.adj[i]:
             if j in pin:
-                cc = c if mode == "exact" else float(c)
+                cc = c if mode == "exact" else as_float(c)
                 pinned_c += cc
                 pinned_b += cc * pin[j]
                 carries[i] = True
@@ -148,6 +155,7 @@ def solve_dirichlet(
 
 def dirichlet_energy(graph: Network, f: VertexFunction):
     """Sum over edges of conductance times squared increment."""
+    as_float = _float_reader()
     total = Fraction(0) if f.mode == "exact" else 0.0
     values = f.values
     for i, j, c in graph.edges:
@@ -155,7 +163,7 @@ def dirichlet_energy(graph: Network, f: VertexFunction):
         if a == b:
             continue
         du = a - b
-        cc = c if f.mode == "exact" else float(c)
+        cc = c if f.mode == "exact" else as_float(c)
         total += cc * du * du
     return total
 

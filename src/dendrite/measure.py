@@ -9,11 +9,10 @@ cell-state recursion of `closed_forms`, the one that `eval_closed` reads.
 
 Both certified descents, the refinement and the ball cover that the
 ball-measure bounds count (`network._ball_cover`), run in Python ints:
-masses, values and distances are integers in a common unit, and each
-`Fraction` is converted with `divmod`, exactly or with an
-`ArithmeticError`.  The refinement's unit grows with the deepest cell it
-has pushed, so a depth cap far past the relative-gap stop does not
-enlarge its integers.
+masses, values and distances are integers in a common unit.  The root
+state and the cover's distances are converted with `divmod`, exactly or
+with an `ArithmeticError`; the refinement's unit grows with the deepest
+cell it has pushed, and its cell states stay integers (`closed_forms`).
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from math import lcm
 from typing import Optional
 
 from .addressing import Vertex, canonicalize, check_word
-from .closed_forms import HarmonicSpec, _spec_state, _state_children
+from .closed_forms import HarmonicSpec, _int_state, _int_step, _spec_state, _state_children
 from .metric import Metric
 from .network import _CORNER_REACH, BallRegion, _ball_cover
 
@@ -124,11 +123,10 @@ def extension_matrices(s0: Fraction):
 
     Row j of A_i gives the value at F_i(q_j) from the values at q1, q2, q3.
     """
-    s0 = Fraction(s0)
-    units = [("h", *(Fraction(int(j == k)) for j in range(3))) for k in range(3)]
-    columns = [_state_children(unit, s0) for unit in units]
+    step = _int_step(Fraction(s0))
+    columns = [_state_children(("h", *(int(j == k) for j in range(3))), step) for k in range(3)]
     return tuple(
-        tuple(tuple(columns[k][i][1 + j] for k in range(3)) for j in range(3))
+        tuple(tuple(Fraction(columns[k][i][1 + j], step[0]) for k in range(3)) for j in range(3))
         for i in range(4)
     )
 
@@ -199,15 +197,8 @@ MAX_CELLS = 60_000
 
 
 def _state_range(state):
-    kind = state[0]
-    if kind == "h":
-        vals = state[1:]
-        return min(vals), max(vals)
-    if kind in ("down", "up"):
-        s = state[1]
-        return (min(s, 0), max(s, 0))
-    _, a, b, c = state
-    vals = (a, b, c, 0)
+    # a cell's values lie between its state's least and greatest values, and 0 off "h"
+    vals = state[1:] if state[0] == "h" else (*state[1:], 0)
     return min(vals), max(vals)
 
 
@@ -261,52 +252,40 @@ class HarmonicIntegrator:
         The refinement stops at relative gap `REL_GAP`, after `MAX_CELLS`
         pushed cells, or when the worst cell lies at `max_depth`.
 
-        The loop runs in integers; cell states stay the `Fraction` tuples
-        of `_state_children`.  With ((n2, n0), D) = `cell_measure_units(w,
-        1)`, a depth-d cell with a digits in {0,1} has mass n0^a n2^(d-a)
-        D^(E-d) in the unit D^-E, and a child's mass is its
-        parent's // D times n0 or n2.  With s0 = p/q and K = lcm(2q, 16), a
-        child's denominators are at most q, 2q or 16 times its parent's,
-        so every value at depth <= E is a multiple of 1/(M K^E), M the lcm
-        of the root state's denominators.  Value ranges, heap keys
-        -mu (b - a), `lo` and `hi` are then integers in the unit 1/U,
-        U = M (D K)^E, and the gap test reads 2 den (hi - lo) <= num |lo + hi|
-        for `REL_GAP` = num/den.  E is the deepest depth pushed so far:
-        when it grows by one, U, `lo`, `hi` and every heap entry's mass,
-        range and key are multiplied by D, K or D K, a common positive
-        factor that keeps the heap order.  Each value is converted with
-        `divmod`, and a nonzero remainder raises `ArithmeticError`: the
-        conversion is exact or refused, so the bounds equal the rational
-        refinement's.
+        The loop runs in integers.  `_int_state` converts the root state to
+        the unit M, the lcm of its denominators; with s0 = p/q and K =
+        lcm(2q, 16), `_state_children` gives a depth-d state in the unit
+        M K^d.  With ((n2, n0), D) = `cell_measure_units(w, 1)`, a depth-d
+        cell with a digits in {0,1} has mass n0^a n2^(d-a) D^(E-d), and a
+        child's mass is its parent's // D times n0 or n2.  Value ranges
+        (scaled by K^(E-d)), heap keys -mu (b - a), `lo` and `hi` are integers
+        in the unit 1/U, U = M (D K)^E, and the gap test reads 2 den (hi - lo)
+        <= num |lo + hi| for `REL_GAP` = num/den.  E, the deepest depth pushed,
+        grows by one at a time and multiplies U, `lo`, `hi` and every heap
+        entry's mass and range by D, K or D K, which keeps the heap order.
         """
-        s0 = self.s0
         (n2, n0), D = cell_measure_units(self.w, 1)
         factors = (n0, n0, n2, n2)
-        K = lcm(2 * s0.denominator, 16)
-        vunit = lcm(*(v.denominator for v in state[1:]))
-        U = vunit
+        step = _int_step(self.s0)
+        K = step[0]
+        root, U = _int_state(state)
         gap_num, gap_den = REL_GAP.numerator, REL_GAP.denominator
         lo = hi = 0
         E = 0
         heap = []
         counter = 0
 
-        def push(state, mu, depth):
+        def push(state, mu, depth, scale):
             nonlocal lo, hi, counter
-            ints = [state[0]]
-            for v in state[1:]:
-                n, rem = divmod(v.numerator * vunit, v.denominator)
-                if rem:
-                    raise ArithmeticError(f"value {v} is not a multiple of 1/{vunit}")
-                ints.append(n)
-            a, b = _state_range(ints)
+            a, b = _state_range(state)
+            a, b = a * scale, b * scale
             lo += mu * a
             hi += mu * b
             if a != b:
                 heapq.heappush(heap, (-mu * (b - a), counter, state, mu, a, b, depth))
                 counter += 1
 
-        push(state, 1, 0)
+        push(root, 1, 0, 1)
         while heap and counter < MAX_CELLS:
             total, gap = lo + hi, hi - lo
             if 2 * gap_den * gap <= gap_num * abs(total) or (
@@ -319,22 +298,18 @@ class HarmonicIntegrator:
             if depth == E:
                 E += 1
                 dk = D * K
-                vunit *= K
-                U *= dk
-                lo *= dk
-                hi *= dk
-                mu *= D
-                a *= K
-                b *= K
+                U, lo, hi = U * dk, lo * dk, hi * dk
+                mu, a, b = mu * D, a * K, b * K
                 heap = [
                     (key * dk, c, s, m * D, x * K, y * K, d)
                     for key, c, s, m, x, y, d in heap
                 ]
             lo -= mu * a
             hi -= mu * b
-            step = mu // D
-            for child, factor in zip(_state_children(st, s0), factors):
-                push(child, step * factor, depth + 1)
+            mu //= D
+            scale = K ** (E - depth - 1)
+            for child, factor in zip(_state_children(st, step), factors):
+                push(child, mu * factor, depth + 1, scale)
         return IntegralBounds(Fraction(lo, U), Fraction(hi, U), exact=self.exact(state))
 
 

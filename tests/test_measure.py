@@ -1,12 +1,13 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from dendrite.addressing import canonicalize, parse_vertex, words_of_length
-from dendrite import measure
-from dendrite.closed_forms import HarmonicSpec, u_down, u_minus, u_up
+from dendrite import closed_forms, measure
+from dendrite.closed_forms import HarmonicSpec, _int_step, _state_children, u_down, u_minus, u_up
 from dendrite.measure import (
     HarmonicIntegrator,
     IntegralBounds,
@@ -122,14 +123,15 @@ def test_constant_integrates_to_itself():
 
 
 def test_self_similar_consistency_of_integration():
-    # integrating the four rescaled pieces reproduces the whole integral
+    # integrating the four rescaled pieces reproduces the whole integral; the
+    # states are integer, ("plus", 8, 4, 1) in the unit 8 is ("plus", 1, 1/2, 1/8),
+    # and the children come back in the unit 8 K
     integ = HarmonicIntegrator(SKEW)
-    from dendrite.closed_forms import _state_children
-
-    for state in (("down", Fraction(1)), ("plus", Fraction(1), HALF, Fraction(1, 8))):
+    step = _int_step(HALF)
+    for state in (("down", 1), ("plus", 8, 4, 1)):
         total = integ.exact(state)
-        kids = _state_children(state, HALF)
-        assert total == sum(q * integ.exact(k) for q, k in zip(SKEW.as_tuple(), kids))
+        kids = _state_children(state, step)
+        assert step[0] * total == sum(q * integ.exact(k) for q, k in zip(SKEW.as_tuple(), kids))
 
 
 def test_ball_measure_b1_limits():
@@ -273,16 +275,51 @@ def test_integrate_pw_harmonic_matches_recorded_values():
 
 
 def test_certified_bounds_refuse_inexact_values(monkeypatch):
-    """A cell value that is not a multiple of the integer unit raises, never rounds."""
-    real = measure._state_children
-
-    def off_by_a_third(state, s0):
-        first, *rest = real(state, s0)
-        return [("h", first[1] + Fraction(1, 3), *first[2:]), *rest]
-
-    monkeypatch.setattr(measure, "_state_children", off_by_a_third)
+    """A root value that is not a multiple of the integer unit raises, never rounds."""
+    spec = u_minus(HALF, Fraction(1, 3), 0, 1)
+    b = integrate_pw_harmonic(spec, EQUAL, max_depth=3)
+    assert b.lower <= b.exact == Fraction(2, 9) <= b.upper
+    monkeypatch.setattr(closed_forms, "_state_unit", lambda state: 2)
     with pytest.raises(ArithmeticError):
-        integrate_pw_harmonic(u_down(), EQUAL, max_depth=3)
+        integrate_pw_harmonic(spec, EQUAL, max_depth=3)
+
+
+@pytest.mark.parametrize("s0", [HALF, Fraction(1, 3), Fraction(2, 5), Fraction(3, 4)])
+def test_integer_step_matches_independent_oracles(s0):
+    """Seeded random descents, to depth 4, of the integer cell-state step.
+
+    An "h" state's children must be the literal extension maps applied to
+    its corner values; the children of a "down", "plus" or "up" state must
+    integrate, weighted by w, to the parent's exact integral.
+    """
+    rng = random.Random(7)
+    step = _int_step(s0)
+    maps = _literal_extension_matrices(s0)
+    integ = HarmonicIntegrator(SKEW, s0)
+    kinds = ("h", "down", "plus", "up") if s0 == HALF else ("h", "down", "plus")
+    checked = set()
+    for trial in range(48):
+        kind = kinds[trial % len(kinds)]
+        u = rng.randint(1, 30)
+        state = (kind, *(rng.randint(-50, 50) for _ in range(3 if kind in ("h", "plus") else 1)))
+        for _ in range(4):
+            kids = _state_children(state, step)
+            values = lambda st, unit: tuple(Fraction(n, unit) for n in st[1:])
+            if state[0] == "h":
+                a = values(state, u)
+                for m, kid in zip(maps, kids):
+                    want = tuple(sum(m[j][k] * a[k] for k in range(3)) for j in range(3))
+                    assert kid[0] == "h" and values(kid, u * step[0]) == want
+            else:
+                parent = integ.exact((state[0], *values(state, u)))
+                kid_sum = sum(
+                    q * integ.exact((k[0], *values(k, u * step[0])))
+                    for q, k in zip(SKEW.as_tuple(), kids)
+                )
+                assert kid_sum == parent
+            checked.add(state[0])
+            state, u = rng.choice(kids), u * step[0]
+    assert checked == set(kinds)
 
 
 def test_measure_ball_bounds_refuses_inexact_distances():
