@@ -298,13 +298,13 @@ def test_integer_step_matches_independent_oracles(s0):
     integ = HarmonicIntegrator(SKEW, s0)
     kinds = ("h", "down", "plus", "up") if s0 == HALF else ("h", "down", "plus")
     checked = set()
+    values = lambda st, unit: tuple(Fraction(n, unit) for n in st[1:])
     for trial in range(48):
         kind = kinds[trial % len(kinds)]
         u = rng.randint(1, 30)
         state = (kind, *(rng.randint(-50, 50) for _ in range(3 if kind in ("h", "plus") else 1)))
         for _ in range(4):
             kids = _state_children(state, step)
-            values = lambda st, unit: tuple(Fraction(n, unit) for n in st[1:])
             if state[0] == "h":
                 a = values(state, u)
                 for m, kid in zip(maps, kids):
