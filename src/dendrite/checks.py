@@ -182,7 +182,7 @@ def check_ball_regions():
     apex = canonicalize("02", 1)
     if apex not in region.frontier:
         return False, "apex missing from the n=2 frontier"
-    if region.upper_boundary is None or apex not in region.upper_boundary:
+    if apex not in {v for v in region.frontier if v[0].startswith("0")}:
         return False, "apex not classified as upper boundary"
     return True, "ball partitions, monotonicity and the n=2 apex are in order"
 

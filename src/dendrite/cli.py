@@ -199,11 +199,12 @@ def cmd_ball(args, cfg: RunConfig) -> int:
     _require_dyadic(cfg)
     region = q0_ball(args.n, args.level)
     mu = ball_measure(cfg.weights, region)
+    # the frontier above q0 lies in K_0, the one below in K_2
     rows = [
         ["interior", len(region.interior)],
         ["frontier", len(region.frontier)],
-        ["upper_boundary", len(region.upper_boundary or ())],
-        ["lower_boundary", len(region.lower_boundary or ())],
+        ["upper_boundary", sum(v[0].startswith("0") for v in region.frontier)],
+        ["lower_boundary", sum(v[0].startswith("2") for v in region.frontier)],
         ["cut_edges", len(region.cut_edges)],
         ["measure_lower", _fmt(mu.lower)],
         ["measure_upper", _fmt(mu.upper)],

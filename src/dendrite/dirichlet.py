@@ -169,11 +169,18 @@ def dirichlet_energy(graph: Network, f: VertexFunction):
 
 
 def _potential(graph: Network, low, high, mode: str):
-    """The potential pinned to 0 on `low` and 1 on `high`, and 1 / its energy."""
+    """The potential pinned to 0 on `low` and 1 on `high`, and 1 / its net current.
+
+    The current out of `high`, the sum of c (1 - u(j)) over the edges that
+    leave it, equals the potential's energy (Green's identity).
+    """
     pinned = {v: 0 for v in low}
     pinned.update({v: 1 for v in high})
     u = solve_dirichlet(graph, pinned, mode=mode)
-    return u, 1 / dirichlet_energy(graph, u)
+    top, values = {graph.vertex_id(v) for v in high}, u.values
+    cond = (lambda c: c) if mode == "exact" else _float_reader()
+    current = sum(cond(c) * (1 - values[j]) for i in top for j, c in graph.adj[i] if j not in top)
+    return u, 1 / current
 
 
 def effective_resistance(graph: Network, a, b, mode: str = "exact"):

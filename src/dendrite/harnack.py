@@ -99,7 +99,7 @@ def extrema_over_subball(
             hi = x if hi is None or x > hi else hi
     if lo is None:
         raise ValueError("sub-ball contains no vertices at this level")
-    for i, j, t in radius_crossings(region.graph, units, region.unit, radius):
+    for i, j, t in radius_crossings(region.graph, units, radius):
         x = float(vals[i]) + float(t) * (float(vals[j]) - float(vals[i]))
         lo, hi = min(lo, x), max(hi, x)
     return lo, hi

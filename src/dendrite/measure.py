@@ -135,11 +135,12 @@ def _row_times_matrix(row, matrix):
     return tuple(sum(row[k] * matrix[k][j] for k in range(3)) for j in range(3))
 
 
+@cache
 def harmonic_weights(w: WeightVector, s0: Fraction = Fraction(1, 2)):
     """Probability vector p with integral(h) = sum p_j h(q_j) for global harmonics.
 
     p is the unique fixed point of the transpose extension dynamics
-    p = sum_i w_i A_i^T p; p2 = p3 by reflection symmetry.
+    p = sum_i w_i A_i^T p; p2 = p3 by reflection symmetry.  Memoised by (w, s0).
     """
     mats = extension_matrices(s0)
     wt = w.as_tuple()
@@ -355,14 +356,10 @@ def classify_region_cells(region: BallRegion, radius: Optional[Fraction] = None)
 
 
 def ball_measure(w: WeightVector, region: BallRegion) -> IntegralBounds:
-    """Certified measure bounds of the open ball from its level-L cell cover."""
-    if region.radius >= 2:
-        return IntegralBounds(Fraction(1), Fraction(1))
-    inside, straddle = classify_region_cells(region)
-    (nums, den), digits = cell_measure_units(w, region.level), region.graph.s0_digits
-    lo = sum(nums[digits[k]] for k in inside)
-    hi = lo + sum(nums[digits[k]] for k in straddle)
-    return IntegralBounds(Fraction(lo, den), min(Fraction(hi, den), Fraction(1)))
+    """Certified measure bounds of the region's open ball, by `measure_ball_bounds` down to its level."""
+    if region.graph.s0 != Fraction(1, 2):
+        raise ValueError("cell classification assumes s0 = 1/2")
+    return measure_ball_bounds(region.center, region.radius, w, max_depth=region.level)
 
 
 def measure_ball_bounds(

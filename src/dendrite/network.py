@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .addressing import Q0, Vertex, canonicalize, in_cell, vertex_str, words_of_length
@@ -43,19 +44,23 @@ class Network:
     `vertices[i]` is the label of id i and `index` inverts it; `edges`
     holds sorted (i, j, conductance) triples with i < j, and `adj[i]`
     the (neighbour, conductance) pairs of i.  Labels are vertices in
-    normal form, or names such as the grounded node "GND".
+    normal form, or names such as the grounded node "GND".  Every edge
+    resistance is a whole multiple of 1/`unit`, so tree distances are
+    walked in integers.
     """
 
     vertices: list
     index: dict
     edges: list[tuple[int, int, Fraction]]
     adj: list[list[tuple[int, Fraction]]]
+    unit: int
 
     @classmethod
     def from_edges(cls, triples: Iterable[tuple[object, object, Fraction]]) -> Network:
         """Network of (u, v, conductance) triples; parallel edges are summed.
 
-        Ids follow the labels' first appearance.
+        Ids follow the labels' first appearance.  The unit is the lcm of
+        the summed conductances' numerators.
         """
         vertices: list = []
         index: dict = {}
@@ -72,7 +77,8 @@ class Network:
             i, j = sorted((index[u], index[v]))
             cond[i, j] = cond.get((i, j), Fraction(0)) + Fraction(c)
         edges = sorted((i, j, c) for (i, j), c in cond.items())
-        return cls(vertices, index, edges, _adjacency(len(vertices), edges))
+        unit = lcm(*(c.numerator for c in cond.values()))
+        return cls(vertices, index, edges, _adjacency(len(vertices), edges), unit)
 
     def vertex_id(self, v) -> int:
         """Id of a label; a vertex not found as given is looked up in normal form."""
@@ -86,23 +92,15 @@ class Network:
                 raise KeyError(f"vertex {vertex_str(key)} not in graph")
         return i
 
-    # `_walk` sums edge resistances in units of 1/unit, starting from `_zero`:
-    # Fractions here, integers on a LevelGraph
-    unit = 1
-    _zero = Fraction(0)
-
-    def _resistance(self, cond: Fraction):
-        """An edge's resistance in units of 1/unit."""
-        return 1 / cond
-
-    def _walk(self, s: int) -> tuple[list, list[int]]:
-        """Tree distances from id s (sums of edge resistances) and parent ids (-1 at s)."""
+    def _walk(self, s: int) -> tuple[list[int], list[int]]:
+        """Tree distances from id s in units of 1/unit (sums of edge resistances) and parent ids (-1 at s)."""
         dist: list = [None] * len(self.vertices)
         parent = [-1] * len(self.vertices)
-        dist[s] = self._zero
+        dist[s] = 0
+        unit = self.unit
         # the resistance of each conductance object, worked out once: the edges of
         # a digit class share one Fraction, and its id hashes faster than its value
-        resistance: dict[int, object] = {}
+        resistance: dict[int, int] = {}
         adj = self.adj
         stack = [s]
         while stack:
@@ -112,7 +110,9 @@ class Network:
                 if dist[j] is None:
                     r = resistance.get(id(cond))
                     if r is None:
-                        r = resistance[id(cond)] = self._resistance(cond)
+                        r, rem = divmod(unit * cond.denominator, cond.numerator)
+                        assert not rem, f"resistance 1/{cond} is not a multiple of 1/{unit}"
+                        resistance[id(cond)] = r
                     dist[j] = di + r
                     parent[j] = i
                     stack.append(j)
@@ -121,7 +121,8 @@ class Network:
 
     def distances_from(self, start) -> list[Fraction]:
         """Tree distance (sum of edge resistances) from start to every vertex."""
-        return self._walk(self.vertex_id(start))[0]
+        unit = self.unit
+        return [Fraction(d, unit) for d in self._walk(self.vertex_id(start))[0]]
 
     def edge_list(self) -> list[tuple[object, object, Fraction]]:
         """The edges as (label, label, conductance) triples, in id order."""
@@ -135,7 +136,8 @@ class LevelGraph(Network):
     Cell k is `words[k]`; its corners F_w(q1), F_w(q2), F_w(q3) are the
     vertex ids `corners[3k:3k+3]`, and `s0_digits[k]` counts the digits
     of its word in {0,1}, which fixes its conductance and its measure.
-    Vertex ids follow the order (word length, word, corner).
+    Vertex ids follow the order (word length, word, corner).  The unit
+    is q^L for s0 = p/q.
     """
 
     level: int
@@ -155,22 +157,6 @@ class LevelGraph(Network):
             ],
         }
         return json.dumps(payload, indent=1)
-
-    _zero = 0
-
-    @property
-    def unit(self) -> int:
-        """U = q^L for s0 = p/q: a cell with a digits in {0,1} has resistance p^a (q-p)^(L-a) / U."""
-        return self.s0.denominator ** self.level
-
-    def _resistance(self, cond: Fraction) -> int:
-        r, rem = divmod(self.unit * cond.denominator, cond.numerator)
-        assert not rem, f"resistance 1/{cond} is not a multiple of 1/{self.unit}"
-        return r
-
-    def distances_from(self, start) -> list[Fraction]:
-        unit = self.unit
-        return [Fraction(d, unit) for d in self._walk(self.vertex_id(start))[0]]
 
 
 def word_conductance(word: str, s0: Fraction) -> Fraction:
@@ -226,7 +212,7 @@ def build_cells_graph(words: Iterable[str], s0: Fraction, level: int) -> LevelGr
         edges.append((min(q1, q3), max(q1, q3), cond[a]))
     edges.sort()
     return LevelGraph(
-        vertices, index, edges, _adjacency(len(vertices), edges),
+        vertices, index, edges, _adjacency(len(vertices), edges), s0.denominator**level,
         level, s0, words, corners, bytes(s0_digits),
     )
 
@@ -335,7 +321,7 @@ class BallRegion:
     """Interior/frontier split of a metric ball on a level graph.
 
     Distances from the center are kept as the graph's integer walk: the
-    vertex with id i lies at `units[i] / unit` from the center.
+    vertex with id i lies at `units[i] / graph.unit` from the center.
     """
 
     graph: LevelGraph
@@ -343,25 +329,16 @@ class BallRegion:
     radius: Fraction
     interior: frozenset[Vertex]
     frontier: frozenset[Vertex]
-    units: list[int]  # distance from the center in units of 1/unit, indexed by vertex id
-    unit: int
+    units: list[int]  # distance from the center in units of 1/graph.unit, indexed by vertex id
     cut_edges: list[tuple[Vertex, Vertex, Fraction]]  # (inside, outside, crossing fraction)
-    upper_boundary: Optional[frozenset[Vertex]] = None
-    lower_boundary: Optional[frozenset[Vertex]] = None
 
     @property
     def level(self) -> int:
         return self.graph.level
 
-    @cached_property
-    def dist(self) -> list[Fraction]:
-        """Distance from the center, indexed by vertex id."""
-        unit = self.unit
-        return [Fraction(d, unit) for d in self.units]
-
     def cut(self, radius: Optional[Fraction] = None) -> int:
         """The least integer distance outside the open ball of `radius` (default: the region's)."""
-        return units_cut(self.radius if radius is None else Fraction(radius), self.unit)
+        return units_cut(self.radius if radius is None else Fraction(radius), self.graph.unit)
 
 
 def units_cut(radius: Fraction, unit: int) -> int:
@@ -369,14 +346,15 @@ def units_cut(radius: Fraction, unit: int) -> int:
     return -(-radius.numerator * unit // radius.denominator)
 
 
-def radius_crossings(graph: Network, units: Sequence[int], unit: int, radius: Fraction):
+def radius_crossings(graph: Network, units: Sequence[int], radius: Fraction):
     """Edges that leave the open ball {d < radius}, in edge order.
 
-    `units` are the distances from the center in units of 1/unit, as
-    `graph._walk` gives them.  Returns (inside id, outside id, t) triples,
+    `units` are the distances from the center in units of 1/graph.unit,
+    as `graph._walk` gives them.  Returns (inside id, outside id, t) triples,
     where t = (radius - d_inside) times the conductance is the fraction of
     the edge's resistance that lies inside the ball.
     """
+    unit = graph.unit
     cut = units_cut(radius, unit)
     num, den = radius.numerator * unit, radius.denominator
     out = []
@@ -397,18 +375,13 @@ def ball(graph: LevelGraph, center: Vertex, radius: Fraction) -> BallRegion:
         raise ValueError("radius must be positive")
     center = canonicalize(*center)
     units = graph._walk(graph.vertex_id(center))[0]
-    unit = graph.unit
-    cut = units_cut(radius, unit)
+    cut = units_cut(radius, graph.unit)
     vertices = graph.vertices
     interior = frozenset([v for v, d in zip(vertices, units) if d < cut])
     # ids follow the vertex order, so sorting by id sorts by vertex
-    crossings = sorted(radius_crossings(graph, units, unit, radius))
+    crossings = sorted(radius_crossings(graph, units, radius))
     cut_edges = [(vertices[i], vertices[j], t) for i, j, t in crossings]
     frontier = frozenset(v for _, v, _ in cut_edges)
-    upper = lower = None
-    if center == ("2", 1):
-        upper = frozenset(v for v in frontier if v[0].startswith("0"))
-        lower = frozenset(v for v in frontier if v[0].startswith("2"))
     return BallRegion(
         graph=graph,
         center=center,
@@ -416,10 +389,7 @@ def ball(graph: LevelGraph, center: Vertex, radius: Fraction) -> BallRegion:
         interior=interior,
         frontier=frontier,
         units=units,
-        unit=unit,
         cut_edges=cut_edges,
-        upper_boundary=upper,
-        lower_boundary=lower,
     )
 
 
@@ -442,7 +412,7 @@ def schur_trace(graph: Network, keep: Sequence[Vertex]) -> Network:
     nearest kept ancestor u with conductance 1/(d(v) - d(u)).  A vertex
     outside `keep` that separates three kept vertices would be a star
     in the trace, which no tree edge can express, so it is refused.
-    The kept vertices keep their relative id order.
+    The kept vertices keep their relative id order, and the graph's unit.
     """
     kept = sorted({graph.vertex_id(v) for v in keep})
     if len(kept) < 2:
@@ -468,7 +438,7 @@ def schur_trace(graph: Network, keep: Sequence[Vertex]) -> Network:
     new_id = {i: k for k, i in enumerate(kept)}
     edges = sorted((new_id[a], new_id[b], c) for a, b, c in links)
     index = {v: k for k, v in enumerate(vertices)}
-    return Network(vertices, index, edges, _adjacency(len(vertices), edges))
+    return Network(vertices, index, edges, _adjacency(len(vertices), edges), unit)
 
 
 def resistance_distance(graph: Network, u: Vertex, v: Vertex) -> Fraction:

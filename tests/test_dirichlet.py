@@ -78,6 +78,26 @@ def test_effective_resistances():
         effective_resistance(g, [Q1], [Q1])
 
 
+def test_resistance_from_current_equals_inverse_energy():
+    """R read off the net current out of the high set is 1 / the potential's
+    energy exactly, and in float within 1e-12 relative of the exact R."""
+    rng = random.Random(5)
+    cases = []
+    for level in range(1, 6):
+        g = build_level_graph(level, HALF if level % 2 else Fraction(2, 5))
+        for _ in range(3):
+            picked = rng.sample(g.vertices, 5)
+            cases.append((g, picked[:2], picked[2:]))
+    region = ball(ball_graph(2, 8), Q0, Fraction(1, 4))
+    for x in [Q0] + rng.sample(sorted(region.interior), 4):
+        cases.append((region.graph, list(region.frontier), [x]))
+    for g, low, high in cases:
+        r = effective_resistance(g, low, high)
+        pinned = {**{v: 0 for v in low}, **{v: 1 for v in high}}
+        assert r == 1 / dirichlet_energy(g, solve_dirichlet(g, pinned))
+        assert abs(effective_resistance(g, low, high, mode="float") - float(r)) <= 1e-12 * float(r)
+
+
 def test_equilibrium_potential_basic():
     g = build_level_graph(2)
     psi, r = equilibrium_potential(g, Q1, [Q2, Q3])

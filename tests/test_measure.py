@@ -213,7 +213,7 @@ def test_classify_region_cells_matches_corner_bound():
         r = region.radius if radius is None else radius
         inside, straddle = [], []
         for k, word in enumerate(g.words):
-            ds = [region.dist[g.vertex_id(canonicalize(word, j))] for j in (1, 2, 3)]
+            ds = [Fraction(region.units[g.vertex_id(canonicalize(word, j))], g.unit) for j in (1, 2, 3)]
             if min(ds[0] + scale, ds[1] + 2 * scale, ds[2] + 2 * scale) < r:
                 inside.append(k)
             elif min(ds) < r:

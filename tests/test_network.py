@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from dendrite.addressing import canonicalize, in_cell, words_of_length
 from dendrite.dirichlet import VertexFunction
 from dendrite.harnack import extrema_over_subball
-from dendrite.measure import classify_region_cells
+from dendrite.measure import WeightVector, ball_measure, cell_measure, classify_region_cells
 from dendrite.metric import Metric
 from dendrite.network import (
     CapacityError,
@@ -104,7 +105,7 @@ def test_ball_b1_structure():
     region = ball(g, Q0, HALF)
     # the lower cell's interior lattice lies inside B(q0, 1/2)
     for v in g.vertices:
-        if in_cell(v, "2") and region.dist[g.vertex_id(v)] < HALF:
+        if in_cell(v, "2") and Fraction(region.units[g.vertex_id(v)], g.unit) < HALF:
             assert v in region.interior
     assert canonicalize("0", 1) not in region.interior  # q1 sits at distance 1/2
     assert ("", 1) in region.frontier
@@ -114,9 +115,10 @@ def test_ball_frontier_contains_apex_n2():
     g = ball_graph(2, 5)
     region = ball(g, Q0, Fraction(1, 4))
     assert canonicalize("02", 1) in region.frontier
-    assert region.upper_boundary and region.lower_boundary
-    assert all(v[0].startswith("0") for v in region.upper_boundary)
-    assert all(v[0].startswith("2") for v in region.lower_boundary)
+    # the word-prefix rule of the `ball` report splits the frontier above and below q0
+    upper = {v for v in region.frontier if v[0].startswith("0")}
+    lower = {v for v in region.frontier if v[0].startswith("2")}
+    assert upper and lower and upper | lower == region.frontier
 
 
 def test_ball_monotone_in_radius():
@@ -134,15 +136,17 @@ def test_ball_graph_matches_full_graph():
     rt = ball(trimmed, Q0, HALF)
     assert rf.interior == rt.interior
     assert rf.frontier == rt.frontier
+    assert full.unit == trimmed.unit
     for v in rt.interior:
-        assert rf.dist[full.vertex_id(v)] == rt.dist[trimmed.vertex_id(v)]
+        assert rf.units[full.vertex_id(v)] == rt.units[trimmed.vertex_id(v)]
 
 
 def test_cut_edges_cross_the_radius():
     g = ball_graph(1, 5)
     region = ball(g, Q0, HALF)
+    dist = g.distances_from(Q0)
     for u, v, frac in region.cut_edges:
-        assert region.dist[g.vertex_id(u)] < HALF <= region.dist[g.vertex_id(v)]
+        assert dist[g.vertex_id(u)] < HALF <= dist[g.vertex_id(v)]
         assert 0 < frac <= 1
 
 
@@ -159,13 +163,35 @@ def _fraction_walk(g, s):
     return [dist[i] for i in range(len(g.vertices))]
 
 
+def _random_tree(rng, size):
+    """A seeded random tree on labels 0..size-1 with non-dyadic conductances, one edge doubled."""
+    conductances = [Fraction(3, 7), Fraction(5, 2), Fraction(1, 3), Fraction(2), Fraction(7, 5)]
+    triples = [(k, rng.randrange(k), rng.choice(conductances)) for k in range(1, size)]
+    triples.append((*triples[-1][:2], rng.choice(conductances)))  # summed into one edge
+    rng.shuffle(triples)
+    return Network.from_edges(triples)
+
+
 def test_integer_walk_matches_fraction_walk():
     graphs = [ball_graph(n, level) for n in range(1, 5) for level in range(n + 1, n + 6)]
     # s0 = 1/3 and 2/5 have units 3^L and 5^L, not powers of two
     graphs += [build_level_graph(level, s0) for level in range(6) for s0 in (HALF, Fraction(1, 3), Fraction(2, 5))]
-    rng = random.Random(12)
     for g in graphs:
-        assert g.unit == g.s0.denominator**g.level
+        assert g.unit == g.s0.denominator**g.level == lcm(*(c.numerator for _, _, c in g.edges))
+    rng = random.Random(12)
+    trees = [_random_tree(rng, rng.randint(8, 40)) for _ in range(12)]
+    for t in trees:
+        assert t.unit == lcm(*(c.numerator for _, _, c in t.edges))
+    # a trace keeps its source's unit; the odd kept sets are closed under branch points
+    sources = trees[:6] + [build_level_graph(3, Fraction(2, 5)), ball_graph(2, 5)]
+    traces = [
+        (source, schur_trace(source, [source.vertices[i] for i in keep]))
+        for k, source in enumerate(sources)
+        for keep in list(_random_kept_sets(source, 4, seed=k))[1::2]
+    ]
+    assert all(trace.unit == source.unit for source, trace in traces)
+    graphs += trees + [trace for _, trace in traces]
+    for g in graphs:
         for s in (0, rng.randrange(len(g.vertices))):
             units, want = g._walk(s)[0], _fraction_walk(g, s)
             assert all(type(d) is int for d in units)
@@ -227,7 +253,8 @@ def test_ball_region_matches_fraction_reference():
                 interior, frontier, cut_edges, ref_dist = _reference_ball(g, center, r)
                 assert region.radius == r and region.center == canonicalize(*center)
                 assert region.interior == interior and region.frontier == frontier
-                assert region.cut_edges == cut_edges and region.dist == ref_dist
+                assert region.cut_edges == cut_edges
+                assert [Fraction(d, g.unit) for d in region.units] == ref_dist
                 on_vertex += r in ref_dist
                 values = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in g.vertices]
                 sol = VertexFunction(g, values)
@@ -238,6 +265,36 @@ def test_ball_region_matches_fraction_reference():
                         got = classify_region_cells(region, radius=None if sub == r else sub)
                         assert got == _reference_classify(g, ref_dist, sub)
     assert on_vertex >= 20
+
+
+def test_ball_measure_matches_reference_cell_bounds():
+    """`ball_measure` against the measures of the oracle's inside and straddling cells."""
+    rng = random.Random(16)
+    weights = [WeightVector.equal(), WeightVector(Fraction(1, 10), Fraction(2, 5)), WeightVector(Fraction(3, 10), Fraction(1, 5))]
+    cases = 0
+    for level in (3, 4, 5):
+        g = build_level_graph(level)
+        for _ in range(6):
+            center = g.vertices[rng.randrange(len(g.vertices))]
+            dist = _fraction_walk(g, g.vertex_id(center))
+            radii = [Fraction(1, 2 ** rng.randint(1, level)), Fraction(rng.randint(1, 40), rng.randint(21, 97))]
+            radii += [d for d in rng.sample(dist, 2) if d > 0]  # on a vertex
+            for r in radii:
+                region = ball(g, center, r)
+                inside, straddle = _reference_classify(g, dist, r)
+                for w in weights:
+                    lo = sum(cell_measure(w, g.words[k]) for k in inside)
+                    hi = lo + sum(cell_measure(w, g.words[k]) for k in straddle)
+                    b = ball_measure(w, region)
+                    assert (b.lower, b.upper) == (lo, min(hi, Fraction(1)))
+                    cases += 1
+    assert cases >= 200
+
+
+def test_ball_measure_refuses_non_dyadic_graphs():
+    region = ball(build_level_graph(2, Fraction(1, 3)), Q0, Fraction(1, 4))
+    with pytest.raises(ValueError, match="s0 = 1/2"):
+        ball_measure(WeightVector.equal(), region)
 
 
 def _meeting_cells(g, center, radius):
@@ -282,7 +339,7 @@ def _region_by_vertex(region):
     units = {v: d for v, d in zip(g.vertices, region.units)}
     inside, straddle = classify_region_cells(region)
     cells = ({g.words[k] for k in inside}, {g.words[k] for k in straddle})
-    return units, cells, (region.interior, region.frontier, region.cut_edges, region.unit)
+    return units, cells, (region.interior, region.frontier, region.cut_edges, g.unit)
 
 
 def test_q0_ball_graph_matches_hand_derived_cover():
@@ -294,7 +351,6 @@ def test_q0_ball_graph_matches_hand_derived_cover():
             units, cells, shape = _region_by_vertex(got)
             want_units, want_cells, want_shape = _region_by_vertex(want)
             assert shape == want_shape and cells == want_cells
-            assert (got.upper_boundary, got.lower_boundary) == (want.upper_boundary, want.lower_boundary)
             assert all(want_units[v] == d for v, d in units.items())
             # the hand cover's extra apex cells lie outside the ball
             cut = got.cut()
