@@ -42,7 +42,8 @@ from .reduction import psi_skeleton_values, q0_boundary_resistance
 HALF = Fraction(1, 2)
 
 
-def check_canonical_idempotent(max_len: int = 6):
+def check_canonical_idempotent():
+    max_len = 6
     for w, c in raw_points(max_len):
         v = canonicalize(w, c)
         if canonicalize(*v) != v:
@@ -50,10 +51,11 @@ def check_canonical_idempotent(max_len: int = 6):
     return True, f"idempotent on all raw pairs up to length {max_len}"
 
 
-def check_geometric_soundness(max_len: int = 6, tol: float = 1e-9):
+def check_geometric_soundness():
     """Canonical equality must coincide with planar-coordinate equality."""
+    tol = 1e-9
     groups: dict = {}
-    for w, c in raw_points(max_len):
+    for w, c in raw_points(6):
         groups.setdefault(canonicalize(w, c), []).append((w, c))
     pts = []
     for v, raws in groups.items():
@@ -70,7 +72,8 @@ def check_geometric_soundness(max_len: int = 6, tol: float = 1e-9):
     return True, f"{len(groups)} canonical points, identity matches geometry"
 
 
-def check_intersection_symmetry(max_len: int = 4):
+def check_intersection_symmetry():
+    max_len = 4
     words = [w for n in range(max_len + 1) for w in addressing.words_of_length(n)]
     for a in words:
         for b in words:
@@ -81,13 +84,14 @@ def check_intersection_symmetry(max_len: int = 4):
     return True, f"symmetric on all pairs up to length {max_len}"
 
 
-def check_adjacency_degree(depth: int = 5):
+def check_adjacency_degree():
     """Equal-depth cells touch a cell only at its three corners.
 
     Several cells may share one contact point (every {0,1}-word cell
     contains q1), so the bound is on distinct contact points: at most one
     per corner, hence at most three per cell.
     """
+    depth = 5
     for d, pairs in enumerate(addressing.meeting_cell_pairs(depth), 1):
         points: dict[str, set] = {}
         for a, b, point in pairs:
@@ -101,7 +105,8 @@ def check_adjacency_degree(depth: int = 5):
     return True, f"contacts only at cell corners, exhaustive to depth {depth}"
 
 
-def check_tree_property(max_level: int = 7):
+def check_tree_property():
+    max_level = 7
     for level in range(max_level + 1):
         g = build_level_graph(level)
         if len(g.vertices) != 2 * 4**level + 1:
@@ -112,7 +117,8 @@ def check_tree_property(max_level: int = 7):
     return True, f"connected trees with 2*4^L+1 vertices up to level {max_level}"
 
 
-def check_renormalization(max_level: int = 5, s0_values=(HALF, Fraction(1, 3), Fraction(2, 5))):
+def check_renormalization():
+    max_level, s0_values = 5, (HALF, Fraction(1, 3), Fraction(2, 5))
     for s0 in s0_values:
         for level in range(max_level + 1):
             fine = build_level_graph(level + 1, s0)
@@ -127,9 +133,10 @@ def check_renormalization(max_level: int = 5, s0_values=(HALF, Fraction(1, 3), F
     return True, f"exact edge-for-edge traces, levels 0..{max_level}, s0 in {tuple(map(str, s0_values))}"
 
 
-def check_metric_axioms(level: int = 4, samples: int = 60, seed: int = 5):
-    g = build_level_graph(level)
-    rng = random.Random(seed)
+def check_metric_axioms():
+    samples = 60
+    g = build_level_graph(4)
+    rng = random.Random(5)
     verts = g.vertices
     metric = Metric(HALF)
     for _ in range(samples):
@@ -187,8 +194,8 @@ def check_ball_regions():
     return True, "ball partitions, monotonicity and the n=2 apex are in order"
 
 
-def check_maximum_principle(seed: int = 11):
-    rng = random.Random(seed)
+def check_maximum_principle():
+    rng = random.Random(11)
     g = build_level_graph(3)
     verts = g.vertices
     for _ in range(12):
@@ -214,8 +221,8 @@ def check_cell_maximum_principle():
     return True, "harmonic cell extrema live on cell corners"
 
 
-def check_energy_optimality(seed: int = 3):
-    rng = random.Random(seed)
+def check_energy_optimality():
+    rng = random.Random(3)
     g = build_level_graph(2)
     sol = solve_dirichlet(g, {Q1: 1, Q2: 0, Q3: 0})
     base = dirichlet_energy(g, sol)
@@ -255,9 +262,9 @@ def check_grounding_monotonicity():
     return True, "enlarging the grounded set weakly decreases the resistance"
 
 
-def check_green_identity(tol: float = 0.05):
+def check_green_identity():
     w = WeightVector.equal()
-    n, level = 1, 8
+    n, level, tol = 1, 8, 0.05
     g = ball_graph(n, level)
     region, g1 = exit_time.exit_time_profile(n, w, level, graph=g, mode="float")
     for x in (Q0, canonicalize("02", 1), canonicalize("22", 1)):
@@ -271,10 +278,10 @@ def check_green_identity(tol: float = 0.05):
     return True, "Green solve sits inside the identity bounds (within 5%)"
 
 
-def check_green_symmetry(seed: int = 2):
+def check_green_symmetry():
     region = q0_ball(1, 5)
     interior = sorted(region.interior)
-    rng = random.Random(seed)
+    rng = random.Random(2)
     for _ in range(6):
         x, y = rng.choice(interior), rng.choice(interior)
         gx = green_g1(region, {x: 1}, mode="exact")
@@ -319,7 +326,7 @@ def check_closed_vs_discrete():
     return True, "discrete solves reproduce the closed forms exactly"
 
 
-def check_reflection_symmetry(seed: int = 9):
+def check_reflection_symmetry():
     """Reflection-symmetric harmonics are invariant under the digit swap.
 
     The swap 0<->1, 2<->3 mirrors the fractal; the decay function and any
@@ -327,7 +334,7 @@ def check_reflection_symmetry(seed: int = 9):
     ladder is anchored at q2 and is not symmetric.)
     """
     swap = str.maketrans("0123", "1032")
-    rng = random.Random(seed)
+    rng = random.Random(9)
     pts = [canonicalize(w, c) for w, c in raw_points(4)]
     for spec in (u_down(), u_minus(HALF, Fraction(2, 7), 1, Fraction(2, 7))):
         for _ in range(60):
@@ -340,7 +347,8 @@ def check_reflection_symmetry(seed: int = 9):
     return True, "symmetric harmonics invariant under the reflection swap"
 
 
-def check_coefficient_tables(tol: float = 0.05):
+def check_coefficient_tables():
+    tol = 0.05
     for n in (1, 2, 3):
         for m0 in range(0, 4):
             for k0 in range(0, 4):
@@ -388,8 +396,9 @@ def check_coefficient_recurrence():
     return True, "three-term recurrence holds with zero residual"
 
 
-def check_resistance_scaling(window: float = 0.15):
+def check_resistance_scaling():
     """log2 slope of the reduced-network resistances across (n, m0, k0)."""
+    window = 0.15
     xs, ys = [], []
     for n in (1, 2, 3):
         for m0 in (0, 1, 2):
@@ -412,7 +421,8 @@ def check_resistance_scaling(window: float = 0.15):
     return True, "boundary resistances scale like 2^-(n+m+k) and 2^-(n+k)"
 
 
-def check_measure_additivity(depth: int = 6):
+def check_measure_additivity():
+    depth = 6
     w = WeightVector(Fraction(1, 6), Fraction(1, 3))
     for d in range(depth):
         for word in addressing.words_of_length(d):
@@ -464,10 +474,10 @@ def check_integrals():
     return True, "exact self-similar integrals agree with certified quadrature"
 
 
-def check_quadrature_sandwich(seed: int = 4):
+def check_quadrature_sandwich():
     w = WeightVector.equal()
     integ = measure.HarmonicIntegrator(w)
-    rng = random.Random(seed)
+    rng = random.Random(4)
     step = closed_forms._int_step(HALF)
     state = ("h", 1, 0, rng.randint(0, 3))
     stack = [state]
@@ -532,7 +542,7 @@ def check_ball_measures():
     return True, "ball measures bracket 1/3 and tighten within 10% at level 8"
 
 
-def check_boundary_resistance_exact(tol: float = 0.05):
+def check_boundary_resistance_exact():
     for n in (1, 2, 3):
         level = n + 7
         want = Fraction(1, 3 * (2 ** (n - 1) + 2 ** (2 * n - 1)))
@@ -649,7 +659,8 @@ def check_decomposition():
     return True, "boundary split into upper/lower pieces plus apex sums to one inside"
 
 
-def check_ehi(tol: float = 0.25):
+def check_ehi():
+    tol = 0.25
     rows, slope, err = ehi_slope(range(2, 6), k=1, epsilon=HALF, level_offset=4)
     if abs(slope + 1) > tol:
         return False, f"EHI slope {slope:.3f} outside -1 +- {tol}"

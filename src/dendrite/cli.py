@@ -17,7 +17,6 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import checks
 from .addressing import canonicalize, parse_vertex, vertex_str
 from .closed_forms import (
     CoefficientCase,
@@ -70,31 +69,41 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ValueError("a config file must hold a JSON object")
         cfg = cls()
         if "s0" in data:
-            cfg.s0 = _fraction_arg("config s0", data["s0"])
+            s0 = _config_value(data, "s0", (str, int, float), "a number or a string 'p/q'")
+            cfg.s0 = _fraction_arg("config s0", s0)
         if "weights" in data:
-            cfg.weights = _fraction_arg("config weights", data["weights"], WeightVector.parse)
+            weights = _config_value(data, "weights", str, "a string 'w0,w2'")
+            cfg.weights = _fraction_arg("config weights", weights, WeightVector.parse)
         if "max_level" in data:
-            cfg.max_level = int(data["max_level"])
+            cfg.max_level = _config_value(data, "max_level", int, "an integer")
         return cfg
+
+
+def _config_value(data: dict, key: str, types, expected: str):
+    """data[key] if it is one of `types`; JSON true and false are no numbers."""
+    if isinstance(data[key], bool) or not isinstance(data[key], types):
+        raise ValueError(f"config {key} must be {expected}, got {json.dumps(data[key])}")
+    return data[key]
 
 
 def _fraction_arg(flag: str, text, parse=Fraction):
     """`parse(text)` for a fraction-valued argument; a failure is a ValueError naming the flag."""
     try:
         return parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
         raise ValueError(f"{flag} got {text!r}: {reason}") from None
 
 
 def _resolve_config(args) -> RunConfig:
-    data = {}
+    cfg = RunConfig()
     if args.config:
         with open(args.config) as fh:
-            data.update(json.load(fh))
-    cfg = RunConfig.from_dict(data)
+            cfg = RunConfig.from_dict(json.load(fh))
     if args.s0:
         cfg.s0 = _fraction_arg("--s0", args.s0)
     if args.weights:
@@ -351,6 +360,7 @@ def cmd_doubling(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
+    from . import checks  # imported here so that other commands do not compile the checks
     ok = checks.run_suite(args.suite)
     return 0 if ok else 1
 

@@ -9,8 +9,6 @@ in double precision for large levels.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,15 +28,6 @@ class VertexFunction:
 
     def __getitem__(self, v: Vertex):
         return self.values[self.graph.vertex_id(v)]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["vertex", "value_exact", "value_float"])
-        for v, val in zip(self.graph.vertices, self.values):
-            exact = str(val) if isinstance(val, Fraction) else ""
-            writer.writerow([vertex_str(v), exact, repr(float(val))])
-        return buf.getvalue()
 
 
 def _as_mode(x, mode: str):

@@ -111,12 +111,6 @@ class IntegralBounds:
     def midpoint(self) -> Fraction:
         return (self.lower + self.upper) / 2
 
-    def rel_gap(self) -> Fraction:
-        mid = abs(self.midpoint())
-        if mid == 0:
-            return self.upper - self.lower
-        return (self.upper - self.lower) / mid
-
 
 def extension_matrices(s0: Fraction):
     """V0 -> V1 harmonic extension maps, read off `_state_children` for unit corner data.
@@ -169,13 +163,13 @@ def harmonic_weights(w: WeightVector, s0: Fraction = Fraction(1, 2)):
     return tuple(p)
 
 
-def subdivision_quadrature_row(w: WeightVector, depth: int, s0: Fraction = Fraction(1, 2)):
-    """Corner-average subdivision quadrature of global harmonics at a given depth.
+def subdivision_quadrature_row(w: WeightVector, depth: int):
+    """Corner-average subdivision quadrature of global harmonics at a given depth, s0 = 1/2.
 
     Independent oracle for harmonic_weights: integrates a harmonic h by
     averaging its three corner values over every depth-`depth` cell.
     """
-    mats = extension_matrices(s0)
+    mats = extension_matrices(Fraction(1, 2))
     wt = w.as_tuple()
     row = (Fraction(1, 3),) * 3
     for _ in range(depth):

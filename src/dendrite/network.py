@@ -393,15 +393,13 @@ def ball(graph: LevelGraph, center: Vertex, radius: Fraction) -> BallRegion:
     )
 
 
-def ball_graph(n: int, level: int, s0: Fraction = Fraction(1, 2)) -> LevelGraph:
-    """Subgraph covering B(q0, 2^-n) at the given level (much smaller than the full graph)."""
-    if Fraction(s0) != Fraction(1, 2):
-        raise ValueError("ball subgraphs assume s0 = 1/2 (dyadic radii)")
+def ball_graph(n: int, level: int) -> LevelGraph:
+    """Subgraph covering B(q0, 2^-n) at the given level, s0 = 1/2 (much smaller than the full graph)."""
     if n < 1:
         raise ValueError("ball index n must be >= 1")
     if level < n + 1:
         raise ValueError(f"level {level} too small for ball index {n}")
-    return build_cells_graph(ball_cell_words(Q0, Fraction(1, 2**n), level), s0, level)
+    return build_cells_graph(ball_cell_words(Q0, Fraction(1, 2**n), level), Fraction(1, 2), level)
 
 
 def schur_trace(graph: Network, keep: Sequence[Vertex]) -> Network:

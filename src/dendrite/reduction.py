@@ -52,15 +52,12 @@ def upward_grounded_conductance(level: int) -> Fraction:
     return _series(Fraction(2), c + 2 * e)
 
 
-def udown_value_q0(level: int, s0: Fraction = Fraction(1, 2)) -> Fraction:
-    """Discrete value at q0 of the top-to-bottom solve (decreases to s2/2)."""
+def udown_value_q0(level: int) -> Fraction:
+    """Discrete value at q0 of the top-to-bottom solve (decreases to 1/4)."""
     if level < 1:
         raise ValueError("need level >= 1 to see q0")
-    s0 = Fraction(s0)
-    c = bottom_grounded_conductance(level - 1, s0)
-    up = 1 / s0
-    down = c / (1 - s0)
-    return up / (up + down)
+    # q0 links to q1 with conductance 1/s0 = 2 and to the bottom with c/(1 - s0) = 2c
+    return 1 / (1 + bottom_grounded_conductance(level - 1))
 
 
 def uup_values(level: int) -> dict[int, Fraction]:

@@ -1,3 +1,5 @@
+import inspect
+
 from dendrite import checks
 
 
@@ -31,3 +33,9 @@ def test_run_check_returns_the_result_and_its_seconds(monkeypatch):
     monkeypatch.setitem(checks.SUITES, "stub", [("good", lambda: (True, "all fine"))])
     ok, detail, seconds = checks.run_check("stub", "good")
     assert (ok, detail) == (True, "all fine") and seconds >= 0
+
+
+def test_checks_take_no_arguments():
+    for suite, entries in checks.SUITES.items():
+        for label, fn in entries:
+            assert not inspect.signature(fn).parameters, f"{suite}/{label}"

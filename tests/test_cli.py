@@ -195,9 +195,30 @@ BAD_ARGUMENTS = [
 ]
 
 
+# config documents of the wrong shape or type, and the one error line each gets
+BAD_CONFIGS = [
+    ("[1]", "a config file must hold a JSON object"),
+    ('"abc"', "a config file must hold a JSON object"),
+    ('{"max_level": null}', "config max_level must be an integer, got null"),
+    ('{"max_level": 2.5}', "config max_level must be an integer, got 2.5"),
+    ('{"max_level": true}', "config max_level must be an integer, got true"),
+    ('{"weights": 5}', "config weights must be a string 'w0,w2', got 5"),
+    ('{"s0": [1]}', "config s0 must be a number or a string 'p/q', got [1]"),
+    ('{"s0": false}', "config s0 must be a number or a string 'p/q', got false"),
+    ('{"s0": Infinity}', "config s0 got inf: cannot convert Infinity to integer ratio"),
+]
+
+
+def _config_argv(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return ["--config", str(path), "measure", "--cell", "0"]
+
+
 def test_bad_arguments_exit_with_a_code_and_no_traceback(monkeypatch, capsys, tmp_path):
     missing_config = ["--config", str(tmp_path / "missing.json"), "measure", "--cell", "2"]
-    for argv in BAD_ARGUMENTS + [missing_config]:
+    bad_configs = [_config_argv(tmp_path, f"bad{i}.json", text) for i, (text, _) in enumerate(BAD_CONFIGS)]
+    for argv in BAD_ARGUMENTS + [missing_config] + bad_configs:
         try:
             code, builds = _main_counting_builds(monkeypatch, argv)
         except SystemExit as exc:
@@ -311,6 +332,20 @@ def test_config_file_round_trip(tmp_path):
     assert out.stdout.strip() == "1/3"
 
 
+@pytest.mark.parametrize("text, message", BAD_CONFIGS)
+def test_bad_config_is_refused_with_one_line_naming_the_key(monkeypatch, capsys, tmp_path, text, message):
+    code, builds = _main_counting_builds(monkeypatch, _config_argv(tmp_path, "cfg.json", text))
+    assert (code, builds) == (3, 0)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+def test_config_s0_may_be_a_json_number(monkeypatch, capsys, tmp_path):
+    assert cli.main(_config_argv(tmp_path, "cfg.json", '{"s0": 0.5, "max_level": 11}')) == 0
+    assert capsys.readouterr().out == "1/4\n"
+
+
 def test_config_file_with_unread_keys_loads(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"seed": 3, "outdir": "elsewhere", "tolerance_profile": "strict"}))
@@ -331,6 +366,13 @@ def test_doubling_report():
     out = run_cli("doubling", "--n", "2..2")
     assert out.returncode == 0
     assert "ratio_lower" in out.stdout
+
+
+def test_cli_import_leaves_the_checks_unloaded():
+    """A fresh interpreter, since this test session has imported the checks already."""
+    code = "import dendrite.cli, sys; assert 'dendrite.checks' not in sys.modules"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_verify_suite_exit_zero(monkeypatch, capsys):

@@ -171,11 +171,3 @@ def test_maximum_principle_random():
         sol = solve_dirichlet(g, pins)
         lo, hi = min(pins.values()), max(pins.values())
         assert all(lo <= val <= hi for val in sol.values)
-
-
-def test_csv_export_shape():
-    g = build_level_graph(0)
-    u = solve_dirichlet(g, {Q1: 1, Q2: 0, Q3: 0})
-    lines = u.to_csv().strip().splitlines()
-    assert lines[0] == "vertex,value_exact,value_float"
-    assert len(lines) == 4
