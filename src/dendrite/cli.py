@@ -110,7 +110,10 @@ def _resolve_config(args) -> RunConfig:
         cfg.weights = _fraction_arg("--weights", args.weights, WeightVector.parse)
     env_max = os.environ.get("DENDRITE_MAX_LEVEL")
     if env_max is not None:
-        cfg.max_level = int(env_max)
+        try:
+            cfg.max_level = int(env_max)
+        except ValueError:
+            raise ValueError(f"DENDRITE_MAX_LEVEL must be an integer, got {env_max!r}") from None
     if args.max_level is not None:
         cfg.max_level = args.max_level
     if not 0 < cfg.s0 < 1:
@@ -337,14 +340,14 @@ def cmd_doubling(args, cfg: RunConfig) -> int:
     n_values = _parse_range(args.n)
     if min(n_values) < 0:
         raise ValueError("doubling index n must be >= 0")
+    for n in n_values:
+        _check_level(n + 6, cfg)  # index n needs a descent to depth n + 6; the descent runs to the cap
     metric = Metric(cfg.s0)
     table = []
     for n in n_values:
         x = parse_vertex(args.x) if args.x else canonicalize("2" + "0" * (n - 1), 2)
         r = _fraction_arg("--radius", args.radius) if args.radius else Fraction(1, 2**n)
-        ratio, big, small = doubling_ratio(
-            cfg.weights, x, r, max_depth=max(cfg.max_level, n + 6), metric=metric
-        )
+        ratio, big, small = doubling_ratio(cfg.weights, x, r, max_depth=cfg.max_level, metric=metric)
         table.append(
             [n, vertex_str(x), _fmt(r),
              _fmt(ratio.lower), _fmt(ratio.upper), _fmt(big.lower), _fmt(big.upper),

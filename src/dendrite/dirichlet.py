@@ -199,8 +199,8 @@ def solve_on_ball(
     mode: str = "exact",
 ) -> VertexFunction:
     """Dirichlet problem on an open ball, pinned to `boundary` (0 where unset) off the ball."""
-    interior = region.interior
-    pinned = {v: boundary.get(v, 0) for v in region.graph.vertices if v not in interior}
+    cut = region.cut()  # the vertices off the ball lie at integer distance >= cut
+    pinned = {v: boundary.get(v, 0) for v, d in zip(region.graph.vertices, region.units) if d >= cut}
     return solve_dirichlet(region.graph, pinned, masses=masses, mode=mode)
 
 

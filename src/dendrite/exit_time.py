@@ -8,9 +8,10 @@ potential's integral) gives the same quantity with certified bounds.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .addressing import Q0, Vertex, canonicalize, vertex_str
 from .dirichlet import VertexFunction, equilibrium_potential, green_g1
@@ -49,8 +50,15 @@ def boundary_resistance(
     return region, psi, r
 
 
-def region_cell_masses(w: WeightVector, region: BallRegion) -> dict[Vertex, Fraction]:
-    """Ball mass lumped onto interior lattice points, corner-weighted by `harmonic_weights`."""
+def _lumped_masses(
+    w: WeightVector, region: BallRegion, value: Callable[[int, int], object]
+) -> dict[Vertex, object]:
+    """Ball mass lumped onto interior lattice points, corner-weighted by `harmonic_weights`.
+
+    Each vertex's share is summed as an integer s in the unit 1/(den P)
+    and handed over as `value(s, den * P)`; the vertices come in the
+    order the cells first touch them.
+    """
     graph = region.graph
     p = harmonic_weights(w, graph.s0)
     P = math.lcm(*(pj.denominator for pj in p))
@@ -66,7 +74,13 @@ def region_cell_masses(w: WeightVector, region: BallRegion) -> dict[Vertex, Frac
             i = corners[3 * k + j]
             if units[i] < cut:  # an interior vertex
                 sums[i] = sums.get(i, 0) + share[j]
-    return {graph.vertices[i]: Fraction(s, den * P) for i, s in sums.items()}
+    unit, vertices = den * P, graph.vertices
+    return {vertices[i]: value(s, unit) for i, s in sums.items()}
+
+
+def region_cell_masses(w: WeightVector, region: BallRegion) -> dict[Vertex, Fraction]:
+    """Ball mass lumped onto interior lattice points, corner-weighted by `harmonic_weights`."""
+    return _lumped_masses(w, region, Fraction)
 
 
 def exit_time_profile(
@@ -78,7 +92,9 @@ def exit_time_profile(
 ) -> tuple[BallRegion, VertexFunction]:
     """Discrete mean exit time G1 on the ball B(q0, 2^-n)."""
     region = q0_ball(n, level, graph)
-    masses = region_cell_masses(w, region)
+    # a float solve reads s / unit: int / int rounds the exact quotient once,
+    # as float(Fraction(s, unit)) does, and builds no Fraction
+    masses = _lumped_masses(w, region, operator.truediv if mode == "float" else Fraction)
     g1 = green_g1(region, masses, mode=mode)
     return region, g1
 

@@ -17,16 +17,12 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .addressing import Q0, Vertex, canonicalize, in_cell, vertex_str, words_of_length
+from .addressing import Q0, Vertex, canonicalize, check_word, in_cell, vertex_str, words_of_length
 from .metric import Metric
 
 
 class CapacityError(Exception):
     """Requested level exceeds the configured maximum or the full-graph limit."""
-
-
-def _vertex_key(v: Vertex):
-    return (len(v[0]), v[0], v[1])
 
 
 def _adjacency(n: int, edges: Iterable[tuple[int, int, Fraction]]):
@@ -165,23 +161,25 @@ def word_conductance(word: str, s0: Fraction) -> Fraction:
     return 1 / (s0**a * (1 - s0) ** (len(word) - a))
 
 
+def _sorted_ids(vertices: list[Vertex], raw_corners: Sequence[int]):
+    """The vertices in the order (word length, word, corner), and the corner ids renumbered to match."""
+    from array import array  # a local import: see build_cells_graph
+
+    keys = [(len(word), word, corner) for word, corner in vertices]
+    order = sorted(range(len(vertices)), key=keys.__getitem__)
+    remap = [0] * len(vertices)
+    for new, old in enumerate(order):
+        remap[old] = new
+    return [vertices[old] for old in order], array("i", map(remap.__getitem__, raw_corners))
+
+
 def build_cells_graph(words: Iterable[str], s0: Fraction, level: int) -> LevelGraph:
     """Graph induced by a set of level-`level` cells (two edges per cell)."""
     s0 = Fraction(s0)
     if not 0 < s0 < 1:
         raise ValueError("s0 must lie strictly between 0 and 1")
     words = tuple(sorted(set(words)))
-    index: dict[Vertex, int] = {}
-    vertices: list[Vertex] = []
-
-    def vid(word: str, corner: int) -> int:
-        v = canonicalize(word, corner)
-        i = index.get(v)
-        if i is None:
-            i = len(vertices)
-            index[v] = i
-            vertices.append(v)
-        return i
+    raw_index: dict[Vertex, int] = {}  # ids in first-touch order
 
     # a local import, so that runs that build no network (quadrature,
     # doubling) do not pay the extension module's 0.2 MB of resident memory
@@ -192,25 +190,31 @@ def build_cells_graph(words: Iterable[str], s0: Fraction, level: int) -> LevelGr
     for w in words:
         if len(w) != level:
             raise ValueError(f"word {w!r} does not have length {level}")
+        check_word(w)
         s0_digits.append(w.count("0") + w.count("1"))
-        raw_corners.extend((vid(w, 1), vid(w, 2), vid(w, 3)))
-
-    # reindex into deterministic vertex order
-    order = sorted(range(len(vertices)), key=lambda i: _vertex_key(vertices[i]))
-    remap = [0] * len(vertices)
-    for new, old in enumerate(order):
-        remap[old] = new
-    vertices = [vertices[old] for old in order]
-    index = {v: i for i, v in enumerate(vertices)}
-    corners = array("i", map(remap.__getitem__, raw_corners))
+        # the normal forms of F_w(q1), F_w(q2), F_w(q3), by `canonicalize`'s
+        # rule: strip the digits that fix the corner, then rewrite
+        # F_{k0}(q2) = F_{k2}(q1) and F_{k1}(q3) = F_{k3}(q1)
+        t2, t3 = w.rstrip("2"), w.rstrip("3")
+        raw_corners.extend((
+            raw_index.setdefault((w.rstrip("01"), 1), len(raw_index)),
+            raw_index.setdefault((t2[:-1] + "2", 1) if t2.endswith("0") else (t2, 2), len(raw_index)),
+            raw_index.setdefault((t3[:-1] + "3", 1) if t3.endswith("1") else (t3, 3), len(raw_index)),
+        ))
+    # the ids in deterministic vertex order; the first-touch ids, their
+    # index and the sort's lists are dropped before the edges, which peak
+    vertices, corners = _sorted_ids(list(raw_index), raw_corners)
+    del raw_index
     # cells with a digits in {0,1} share one conductance
     cond = [word_conductance("0" * a + "2" * (level - a), s0) for a in range(level + 1)]
     edges = []
     it = iter(corners)
     for a, q1, q2, q3 in zip(s0_digits, it, it, it):
-        edges.append((min(q1, q2), max(q1, q2), cond[a]))
-        edges.append((min(q1, q3), max(q1, q3), cond[a]))
+        c = cond[a]
+        edges.append((q1, q2, c) if q1 < q2 else (q2, q1, c))
+        edges.append((q1, q3, c) if q1 < q3 else (q3, q1, c))
     edges.sort()
+    index = {v: i for i, v in enumerate(vertices)}
     return LevelGraph(
         vertices, index, edges, _adjacency(len(vertices), edges), s0.denominator**level,
         level, s0, words, corners, bytes(s0_digits),

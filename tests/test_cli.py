@@ -62,6 +62,7 @@ def test_capacity_error_exit_code():
         ["exit-ratio", "--n", "1..5", "--level-offset", "3"],
         ["ehi", "--n", "2..3"],
         ["weh", "--n", "2..3"],
+        ["doubling", "--n", "20"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -71,6 +72,13 @@ def test_every_level_is_checked_before_any_work(argv):
     assert out.stdout == ""
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("capacity error: ")
+
+
+def test_max_level_variable_that_is_no_integer_names_itself():
+    out = run_cli("measure", "--cell", "0", env={"DENDRITE_MAX_LEVEL": "2.5"})
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr.splitlines() == ["error: DENDRITE_MAX_LEVEL must be an integer, got '2.5'"]
 
 
 def test_max_level_zero_is_a_validation_error():

@@ -13,7 +13,7 @@ from dendrite.dirichlet import (
     solve_dirichlet,
     solve_on_ball,
 )
-from dendrite.network import ball, ball_graph, build_level_graph
+from dendrite.network import Network, ball, ball_graph, build_level_graph
 
 HALF = Fraction(1, 2)
 Q0, Q1, Q2, Q3 = ("2", 1), ("", 1), ("", 2), ("", 3)
@@ -171,3 +171,38 @@ def test_maximum_principle_random():
         sol = solve_dirichlet(g, pins)
         lo, hi = min(pins.values()), max(pins.values())
         assert all(lo <= val <= hi for val in sol.values)
+
+
+def _random_pinned_tree(rng):
+    """A seeded random tree (random parent, path-like or star-like) with 1-6 pinned labels."""
+    size = rng.randint(2, 60)
+    shape = rng.choice(["random", "path", "star"])
+    conductances = [Fraction(3, 7), Fraction(5, 2), Fraction(1, 3), Fraction(2), Fraction(7, 5)]
+    triples = []
+    for k in range(1, size):
+        parent = {"random": rng.randrange(k), "path": k - 1, "star": rng.randrange(min(k, 3))}[shape]
+        triples.append((f"v{k}", f"v{parent}", rng.choice(conductances)))
+    rng.shuffle(triples)
+    tree = Network.from_edges(triples)
+    labels = rng.sample(tree.vertices, rng.randint(1, min(6, size)))
+    pins = {v: Fraction(rng.randint(-12, 12), rng.randint(1, 5)) for v in labels}
+    return tree, pins
+
+
+def test_maximum_principle_on_random_pinned_trees():
+    """With no masses, every exact value lies between the extreme pins, every free
+    vertex is the conductance-weighted mean of its neighbours, and float mode
+    agrees within 1e-12 of the largest pin."""
+    rng = random.Random(18)
+    for _ in range(40):
+        tree, pins = _random_pinned_tree(rng)
+        exact = solve_dirichlet(tree, pins, mode="exact")
+        approx = solve_dirichlet(tree, pins, mode="float")
+        lo, hi = min(pins.values()), max(pins.values())
+        assert all(lo <= x <= hi for x in exact.values)
+        assert all(exact[v] == val for v, val in pins.items())
+        for i, v in enumerate(tree.vertices):
+            if v not in pins:
+                assert sum(c * (exact.values[j] - exact.values[i]) for j, c in tree.adj[i]) == 0
+        scale = float(max(abs(lo), abs(hi)))
+        assert all(abs(f - float(e)) <= 1e-12 * scale for e, f in zip(exact.values, approx.values))

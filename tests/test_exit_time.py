@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from dendrite.addressing import canonicalize, parse_vertex, vertex_str
+from dendrite.dirichlet import green_g1
 from dendrite.exit_time import (
     boundary_resistance,
     exit_ratio_experiment,
@@ -143,6 +144,21 @@ def test_float_green_solve_agrees_with_exact(weights):
         _, approx = exit_time_profile(n, w, n + 4, graph=g, mode="float")
         for v, e, f in zip(g.vertices, exact.values, approx.values):
             assert abs(f - float(e)) <= 1e-12 * abs(float(e)), (n, vertex_str(v))
+
+
+def test_float_masses_match_the_fraction_masses():
+    """The float profile reads its masses as int / int, with no Fraction on the way; the
+    solve is bit for bit the one on `region_cell_masses`, at level n + 5 as in exit-ratio."""
+    weights = [WeightVector.parse(text) for text in ("1/10,2/5", "1/4,1/4")]
+    for n in (2, 3, 4):
+        g = ball_graph(n, n + 5)
+        for w in weights:
+            region, g1 = exit_time_profile(n, w, n + 5, graph=g)
+            via_fractions = green_g1(region, region_cell_masses(w, region), mode="float")
+            assert [x.hex() for x in g1.values] == [x.hex() for x in via_fractions.values], (n, w)
+            if n == 2:
+                region, g1 = exit_time_profile(n, w, n + 5, graph=g, mode="exact")
+                assert g1.values == green_g1(region, region_cell_masses(w, region), mode="exact").values
 
 
 def test_g1_bounds_at_q0_against_eps_window():

@@ -401,7 +401,8 @@ def test_word_conductance_matches_product(s0):
 
 
 def test_recorded_corners_and_cell_conductances():
-    graphs = [build_level_graph(level, s0) for level in range(6) for s0 in (HALF, Fraction(2, 5))]
+    """The corners `build_cells_graph` works out inline are `canonicalize`'s normal forms."""
+    graphs = [build_level_graph(level, s0) for level in range(7) for s0 in (HALF, Fraction(2, 5))]
     graphs += [ball_graph(n, n + 4) for n in (1, 2, 3)]
     for g in graphs:
         assert len(g.corners) == 3 * len(g.words) == 3 * len(g.s0_digits)
@@ -413,6 +414,12 @@ def test_recorded_corners_and_cell_conductances():
             c = _product_conductance(word, g.s0)
             assert conductance[min(q1, q2), max(q1, q2)] == c
             assert conductance[min(q1, q3), max(q1, q3)] == c
+
+
+@pytest.mark.parametrize("word", ["04", "2a", "3-"])
+def test_build_refuses_a_word_off_the_alphabet(word):
+    with pytest.raises(ValueError, match="digits must be in 0123"):
+        build_cells_graph(["00", word], HALF, 2)
 
 
 def _separates_three(g, keep, w):
