@@ -161,7 +161,7 @@ def word_conductance(word: str, s0: Fraction) -> Fraction:
     return 1 / (s0**a * (1 - s0) ** (len(word) - a))
 
 
-def _sorted_ids(vertices: list[Vertex], raw_corners: Sequence[int]):
+def _sorted_ids(vertices: list[Vertex], raw_corners: Sequence[int]) -> tuple[list[Vertex], Sequence[int]]:
     """The vertices in the order (word length, word, corner), and the corner ids renumbered to match."""
     from array import array  # a local import: see build_cells_graph
 
@@ -201,8 +201,8 @@ def build_cells_graph(words: Iterable[str], s0: Fraction, level: int) -> LevelGr
             raw_index.setdefault((t2[:-1] + "2", 1) if t2.endswith("0") else (t2, 2), len(raw_index)),
             raw_index.setdefault((t3[:-1] + "3", 1) if t3.endswith("1") else (t3, 3), len(raw_index)),
         ))
-    # the ids in deterministic vertex order; the first-touch ids, their
-    # index and the sort's lists are dropped before the edges, which peak
+    # renumber in deterministic vertex order, and free the first-touch index
+    # before the edge and adjacency lists are made: they are the build's peak
     vertices, corners = _sorted_ids(list(raw_index), raw_corners)
     del raw_index
     # cells with a digits in {0,1} share one conductance
