@@ -483,7 +483,7 @@ def check_quadrature_sandwich():
     stack = [state]
     for _ in range(200):
         st = stack.pop()
-        lo, hi = measure._state_range(st)
+        (lo, hi), = measure._state_ranges([st])
         ex = integ.exact(st)
         if not lo <= ex <= hi:
             return False, f"exact value escapes the corner sandwich in {st[0]}"

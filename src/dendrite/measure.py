@@ -7,12 +7,14 @@ through the self-similar fixed-point identities, and as certified
 interval bounds by adaptive cell refinement.  The refinement descends the
 cell-state recursion of `closed_forms`, the one that `eval_closed` reads.
 
-Both certified descents, the refinement and the ball cover that the
-ball-measure bounds count (`network._ball_cover`), run in Python ints:
-masses, values and distances are integers in a common unit.  The root
-state and the cover's distances are converted with `divmod`, exactly or
-with an `ArithmeticError`; the refinement's unit grows with the deepest
-cell it has pushed, and its cell states stay integers (`closed_forms`).
+Both certified descents run in Python ints, and each converts its
+rational input with `divmod`, exactly or with an `ArithmeticError`.  The
+refinement's masses and values are integers in a unit that grows with the
+deepest cell it has pushed, and its cell states stay integers
+(`closed_forms`).  The ball-measure bounds weigh the cell counts of the
+ball's cover (`network._BallCover`), whose distances are integers in one
+unit; the counts are folded over the cover's distinct cell states, so
+their cost grows with the depth, not with the number of cells.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Optional
 from .addressing import Vertex, canonicalize, check_word
 from .closed_forms import HarmonicSpec, _int_state, _int_step, _spec_state, _state_children
 from .metric import Metric
-from .network import _CORNER_REACH, BallRegion, _ball_cover
+from .network import _CORNER_REACH, BallRegion, _BallCover, _half_metric
 
 
 @dataclass(frozen=True)
@@ -191,10 +193,27 @@ REL_GAP = Fraction(1, 10_000)
 MAX_CELLS = 60_000
 
 
-def _state_range(state):
-    # a cell's values lie between its state's least and greatest values, and 0 off "h"
-    vals = state[1:] if state[0] == "h" else (*state[1:], 0)
-    return min(vals), max(vals)
+def _state_ranges(states):
+    """(least, greatest) value of each cell state: its values, and 0 off "h".
+
+    The refinement asks for every child it makes, so an "h" state's three
+    values are compared inline, which costs a fifth of `min` and `max`.
+    """
+    out = []
+    for state in states:
+        if state[0] == "h":
+            _, lo, hi, v = state
+            if lo > hi:
+                lo, hi = hi, lo
+            if v < lo:
+                lo = v
+            elif v > hi:
+                hi = v
+        else:
+            vals = (*state[1:], 0)
+            lo, hi = min(vals), max(vals)
+        out.append((lo, hi))
+    return out
 
 
 class HarmonicIntegrator:
@@ -269,19 +288,18 @@ class HarmonicIntegrator:
         E = 0
         heap = []
         counter = 0
-
-        def push(state, mu, depth, scale):
-            nonlocal lo, hi, counter
-            a, b = _state_range(state)
-            a, b = a * scale, b * scale
-            lo += mu * a
-            hi += mu * b
-            if a != b:
-                heapq.heappush(heap, (-mu * (b - a), counter, state, mu, a, b, depth))
-                counter += 1
-
-        push(root, 1, 0, 1)
-        while heap and counter < MAX_CELLS:
+        # the cells to push, their masses, depth and range scale: the root first
+        kids, masses, depth, scale = (root,), (1,), 0, 1
+        while True:
+            for (a, b), kid, mu in zip(_state_ranges(kids), kids, masses):
+                a, b = a * scale, b * scale
+                lo += mu * a
+                hi += mu * b
+                if a != b:
+                    heapq.heappush(heap, (-mu * (b - a), counter, kid, mu, a, b, depth))
+                    counter += 1
+            if not heap or counter >= MAX_CELLS:
+                break
             total, gap = lo + hi, hi - lo
             if 2 * gap_den * gap <= gap_num * abs(total) or (
                 total == 0 and gap_den * gap <= gap_num * U
@@ -302,9 +320,8 @@ class HarmonicIntegrator:
             lo -= mu * a
             hi -= mu * b
             mu //= D
-            scale = K ** (E - depth - 1)
-            for child, factor in zip(_state_children(st, step), factors):
-                push(child, mu * factor, depth + 1, scale)
+            kids, masses = _state_children(st, step), [mu * f for f in factors]
+            depth, scale = depth + 1, K ** (E - depth - 1)
         return IntegralBounds(Fraction(lo, U), Fraction(hi, U), exact=self.exact(state))
 
 
@@ -356,6 +373,30 @@ def ball_measure(w: WeightVector, region: BallRegion) -> IntegralBounds:
     return measure_ball_bounds(region.center, region.radius, w, max_depth=region.level)
 
 
+def _shifted_sum(parts) -> dict:
+    """Sum of (depth, a, inside) -> count tables, each part's a shifted by its da."""
+    out: dict = {}
+    for da, counts in parts:
+        for (depth, a, inside), n in counts.items():
+            key = depth, a + da, inside
+            out[key] = out.get(key, 0) + n
+    return out
+
+
+def _ball_cover_counts(center: Vertex, radius: Fraction, max_depth: int, metric: Metric) -> dict:
+    """(depth, a, inside) -> number of cells of `network._BallCover`, a the digits in {0,1}.
+
+    Folded over the cover's distinct cell states: a leaf counts itself,
+    and a cell that splits sums its children's tables, a shifted by the
+    child's digit.
+    """
+    cells = _BallCover(center, radius, max_depth, metric).fold(
+        lambda depth, inside: {(depth, 0, inside): 1},
+        lambda kids: _shifted_sum((da, counts) for _, da, counts in kids),
+    )
+    return _shifted_sum((a, counts) for _, a, counts in cells)
+
+
 def measure_ball_bounds(
     center: Vertex,
     radius: Fraction,
@@ -365,28 +406,27 @@ def measure_ball_bounds(
 ) -> IntegralBounds:
     """Certified mu-bounds of the open ball B(center, radius), any lattice center.
 
-    Counts the cells of `network._ball_cover` down to `max_depth`: inside
-    cells by (depth, a), a the cell's number of digits in {0,1}, and the
-    straddling cells at `max_depth`, which count for the upper bound only,
-    by a; the counts are weighed once with `cell_measure_table`.
+    Weighs the cell counts of the ball's cover down to `max_depth`
+    (`_ball_cover_counts`, folded over the cover's distinct cell states,
+    so the cost grows with the depth, not with the number of cells): the
+    inside cells give the lower bound, and the straddling cells at
+    `max_depth` count for the upper bound only.  With (n, D^k) =
+    `cell_measure_units(w, k)`, a cell at depth k with a digits in {0,1}
+    weighs n[a] D^(top-k) in the unit 1/D^top, top the depth.  The metric
+    defaults to the shared s0 = 1/2 one.
     """
     radius = Fraction(radius)
-    metric = metric or Metric(Fraction(1, 2))
+    metric = metric or _half_metric()
     center = canonicalize(*center)
     if radius >= 2:
         return IntegralBounds(Fraction(1), Fraction(1))
     top = max(max_depth, 0)
-    inside = [[0] * (depth + 1) for depth in range(top + 1)]
-    capped = [0] * (top + 1)
-    for word, a, whole in _ball_cover(center, radius, top, metric):
-        (inside[len(word)] if whole else capped)[a] += 1
-
-    lo = Fraction(0)
-    for depth, counts in enumerate(inside):
-        if any(counts):
-            lo += sum(n * m for n, m in zip(counts, cell_measure_table(w, depth)))
-    hi = lo + sum(n * m for n, m in zip(capped, cell_measure_table(w, top)))
-    return IntegralBounds(lo, min(hi, Fraction(1)))
+    D = cell_measure_units(w, 1)[1]
+    sums = {True: 0, False: 0}
+    for (depth, a, inside), n in _ball_cover_counts(center, radius, top, metric).items():
+        sums[inside] += n * cell_measure_units(w, depth)[0][a] * D ** (top - depth)
+    lo = Fraction(sums[True], D**top)
+    return IntegralBounds(lo, min(Fraction(sums[True] + sums[False], D**top), Fraction(1)))
 
 
 def doubling_ratio(
@@ -397,7 +437,7 @@ def doubling_ratio(
     metric: Optional[Metric] = None,
 ) -> tuple[IntegralBounds, IntegralBounds, IntegralBounds]:
     """Bounds for mu(B(x,2r)) / mu(B(x,r)): returns (ratio, big-ball, small-ball)."""
-    metric = metric or Metric(Fraction(1, 2))
+    metric = metric or _half_metric()
     big = measure_ball_bounds(x, 2 * Fraction(r), w, max_depth=max_depth, metric=metric)
     small = measure_ball_bounds(x, Fraction(r), w, max_depth=max_depth, metric=metric)
     if small.lower == 0:

@@ -237,20 +237,28 @@ _CORNER_REACH = (1, 2, 2)
 _half_metric = cache(lambda: Metric(Fraction(1, 2)))  # made on first use; every cover shares its memo
 
 
-def _ball_cover(center: Vertex, radius: Fraction, max_depth: int, metric: Metric):
-    """Descend the cell tree over the open ball B(center, radius).
+class _BallCover:
+    """The cover of the open ball B(center, radius) by cells, down to `max_depth`.
 
-    Yields (word, a, inside) for each maximal cell K_w inside the ball
-    and each cell at depth `max_depth` that straddles it, a the number of
-    digits of w in {0,1}.  A cell meets the rest of K only at its corners,
-    and an arc between two of its points stays in it (Kigami 2001, ch.
-    2-3).  So the root and the cells that hold the center (in them, on no
-    corner) form one chain, with exact `metric.dist` corner distances, and
-    any other cell is entered through one corner e: a point x of it lies
-    at d(e) + d(e, x).  A cell lies inside when some corner's distance plus
-    its reach (`_CORNER_REACH` times the cell's scale) is below the
-    radius; off the chain that corner is e, a cell with d(e) >= radius is
-    dropped, and a child is entered through its corner nearest to e.
+    The cover holds each maximal cell K_w inside the ball and each cell at
+    depth `max_depth` that straddles it.  A cell meets the rest of K only
+    at its corners, and an arc between two of its points stays in it
+    (Kigami 2001, ch. 2-3).  So the root and the cells that hold the
+    center (in them, on no corner) form one chain, walked with exact
+    `metric.dist` corner distances, and any other cell is entered through
+    one corner e: a point x of it lies at d(e) + d(e, x).  A cell lies
+    inside when some corner's distance plus its reach (`_CORNER_REACH`
+    times the cell's scale) is below the radius; off the chain that corner
+    is e.
+
+    Off the chain a cell is its state (depth, scale, d, e), d = d(e), and
+    `_rule` is the one rule of the cover below it: a cell with d >= radius
+    is dropped, an inside cell or one at `max_depth` is a leaf, and any
+    other cell splits into four child states, each entered through its
+    corner nearest to e.  The state fixes all of the cover below the cell
+    but its word prefix and digit count, and a ball has few distinct states
+    (86 under the 6,468 cells that cover B(y_6, 1/32) to depth 12), so
+    `fold` works each state out once.
 
     Integers throughout: with s0 = p/q, distances and scales are in the
     unit 1/U, U = q^(D+2) den(radius), D the larger of `max_depth` and the
@@ -258,66 +266,107 @@ def _ball_cover(center: Vertex, radius: Fraction, max_depth: int, metric: Metric
     a nonzero remainder raises `ArithmeticError`, so every comparison
     equals the rational one.
     """
-    radius = Fraction(radius)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    center = canonicalize(*center)
-    p, q = metric.s0.numerator, metric.s0.denominator
-    unit = q ** (max(max_depth, len(center[0]), 0) + 2) * radius.denominator
 
-    def units(d: Fraction, per_unit: int = unit) -> int:
-        n, rem = divmod(d.numerator * per_unit, d.denominator)
-        if rem:
-            raise ArithmeticError(f"distance {d} is not a multiple of 1/{per_unit}")
-        return n
+    def __init__(self, center: Vertex, radius: Fraction, max_depth: int, metric: Metric):
+        radius = Fraction(radius)
+        if radius <= 0:
+            raise ValueError("radius must be positive")
+        center = canonicalize(*center)
+        p, q = metric.s0.numerator, metric.s0.denominator
+        unit = q ** (max(max_depth, len(center[0]), 0) + 2) * radius.denominator
 
-    def center_dists(word: str) -> tuple[int, int, int]:
-        return tuple(units(metric.dist(center, (word, j))) for j in (1, 2, 3))
+        def units(d: Fraction, per_unit: int = unit) -> int:
+            n, rem = divmod(d.numerator * per_unit, d.denominator)
+            if rem:
+                raise ArithmeticError(f"distance {d} is not a multiple of 1/{per_unit}")
+            return n
 
-    # per child digit i: its count of digits in {0,1}, its scale over the
-    # parent's scale / q, and per parent corner the distance to the child's
-    # nearest corner in that unit, with that corner (from the unit cell)
-    digits = [
-        (str(i), int(i < 2), p if i < 2 else q - p,
-         [min((units(metric.dist(("", k), (str(i), j + 1)), q), j) for j in range(3)) for k in (1, 2, 3)])
-        for i in range(4)
-    ]
-    r = units(radius)
-    stack = []  # the cells off the chain, as (word, a, scale, d(e), e)
-    held = "", 0, unit, center_dists("")
-    while held:
-        word, a, scale, ds = held
-        inside = any(d + reach * scale < r for d, reach in zip(ds, _CORNER_REACH))
-        if inside or len(word) >= max_depth:
-            yield word, a, inside
-            break
-        step, held = scale // q, None
-        for digit, da, factor, _ in digits:
-            child, cds = word + digit, center_dists(word + digit)
-            if 0 not in cds and in_cell(center, child):
-                held = child, a + da, step * factor, cds
-            else:
-                stack.append((child, a + da, step * factor, *min(zip(cds, range(3)))))
-    while stack:
-        word, a, scale, d, e = stack.pop()
-        if d >= r:
-            continue
-        inside = d + _CORNER_REACH[e] * scale < r
-        if inside or len(word) >= max_depth:
-            yield word, a, inside
-            continue
-        step = scale // q
-        for digit, da, factor, moves in digits:
-            stack.append((word + digit, a + da, step * factor, d + step * moves[e][0], moves[e][1]))
+        def center_dists(word: str) -> tuple[int, int, int]:
+            return tuple(units(metric.dist(center, (word, j))) for j in (1, 2, 3))
+
+        # per child digit i: its count of digits in {0,1}, its scale over the
+        # parent's scale / q, and per parent corner the distance to the child's
+        # nearest corner in that unit, with that corner (from the unit cell)
+        self._digits = [
+            (str(i), int(i < 2), p if i < 2 else q - p,
+             [min((units(metric.dist(("", k), (str(i), j + 1)), q), j) for j in range(3)) for k in (1, 2, 3)])
+            for i in range(4)
+        ]
+        self._q, self._r, self._max_depth = q, units(radius), max_depth
+        # (word, a, node) per cell under which the cover hangs: the chain's last
+        # cell with its inside flag, and each child of the chain off it, with its state
+        self.cells = []
+        held = "", 0, unit, center_dists("")
+        while held:
+            word, a, scale, ds = held
+            inside = any(d + reach * scale < self._r for d, reach in zip(ds, _CORNER_REACH))
+            if inside or len(word) >= max_depth:
+                self.cells.append((word, a, inside))
+                break
+            step, held = scale // q, None
+            for digit, da, factor, _ in self._digits:
+                child, cds = word + digit, center_dists(word + digit)
+                if 0 not in cds and in_cell(center, child):
+                    held = child, a + da, step * factor, cds
+                else:
+                    self.cells.append((child, a + da, (len(child), step * factor, *min(zip(cds, range(3))))))
+
+    def _rule(self, state):
+        """None for a cell off the ball, its inside flag for a leaf, else its four (digit, da, child state)."""
+        depth, scale, d, e = state
+        if d >= self._r:
+            return None
+        inside = d + _CORNER_REACH[e] * scale < self._r
+        if inside or depth >= self._max_depth:
+            return inside
+        step = scale // self._q
+        return [
+            (digit, da, (depth + 1, step * factor, d + step * moves[e][0], moves[e][1]))
+            for digit, da, factor, moves in self._digits
+        ]
+
+    def fold(self, leaf, join) -> list:
+        """(word, a, value) per cell of `cells` that meets the ball.
+
+        A leaf at depth k has the value `leaf(k, inside)`; a cell that splits
+        has `join([(digit, da, value), ...])` over its children that meet
+        the ball, da each child's digit count in {0,1}.  Each distinct state
+        is folded once, children first, with a memo that lives for one call.
+        """
+        memo: dict = {}
+        out = []
+        for word, a, node in self.cells:
+            if isinstance(node, bool):
+                out.append((word, a, leaf(len(word), node)))
+                continue
+            todo = [node]
+            while todo:
+                state = todo[-1]
+                if state in memo:
+                    todo.pop()
+                    continue
+                got = self._rule(state)
+                if isinstance(got, list):
+                    waiting = [kid for _, _, kid in got if kid not in memo]
+                    if waiting:
+                        todo.extend(waiting)
+                        continue
+                    got = join([(digit, da, memo[kid]) for digit, da, kid in got if memo[kid] is not None])
+                elif got is not None:
+                    got = leaf(state[0], got)
+                memo[state] = got
+                todo.pop()
+            if memo[node] is not None:
+                out.append((word, a, memo[node]))
+        return out
 
 
 def ball_cell_words(center: Vertex, radius: Fraction, level: int) -> list[str]:
     """Level-`level` cells that meet the open ball B(center, radius) (s0 = 1/2)."""
-    return [
-        word + tail
-        for word, _, _ in _ball_cover(center, radius, level, _half_metric())
-        for tail in words_of_length(level - len(word))
-    ]
+    tails = cache(lambda depth, inside: list(words_of_length(level - depth)))
+    join = lambda kids: [digit + tail for digit, _, below in kids for tail in below]
+    cells = _BallCover(center, radius, level, _half_metric()).fold(tails, join)
+    return [word + tail for word, _, below in cells for tail in below]
 
 
 @dataclass

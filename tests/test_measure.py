@@ -1,12 +1,14 @@
 import json
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from dendrite.addressing import canonicalize, parse_vertex, words_of_length
-from dendrite import closed_forms, measure
+from dendrite.addressing import canonicalize, in_cell, parse_vertex, words_of_length
+from dendrite import closed_forms, measure, network
 from dendrite.closed_forms import HarmonicSpec, _int_step, _state_children, u_down, u_minus, u_up
 from dendrite.measure import (
     HarmonicIntegrator,
@@ -331,3 +333,95 @@ def test_measure_ball_bounds_refuses_inexact_distances():
 
     with pytest.raises(ArithmeticError):
         measure_ball_bounds(Q0, Fraction(1, 4), EQUAL, max_depth=3, metric=OffByAnEleventh(HALF))
+
+
+def _descent_oracle(center, radius, max_depth, metric):
+    """Oracle: the ball cover cell by cell, as the descent ran before it folded cell states.
+
+    Yields (word, a, inside) for each cell of the cover, a the digits of
+    the word in {0,1}; every cell off the centre's chain is pushed and
+    popped on its own, with no memo.
+    """
+    center = canonicalize(*center)
+    p, q = metric.s0.numerator, metric.s0.denominator
+    unit = q ** (max(max_depth, len(center[0]), 0) + 2) * radius.denominator
+
+    def units(d, per_unit=unit):
+        n, rem = divmod(d.numerator * per_unit, d.denominator)
+        assert not rem
+        return n
+
+    def center_dists(word):
+        return tuple(units(metric.dist(center, (word, j))) for j in (1, 2, 3))
+
+    digits = [
+        (str(i), int(i < 2), p if i < 2 else q - p,
+         [min((units(metric.dist(("", k), (str(i), j + 1)), q), j) for j in range(3)) for k in (1, 2, 3)])
+        for i in range(4)
+    ]
+    reach = (1, 2, 2)
+    r = units(radius)
+    stack = []
+    held = "", 0, unit, center_dists("")
+    while held:
+        word, a, scale, ds = held
+        inside = any(d + k * scale < r for d, k in zip(ds, reach))
+        if inside or len(word) >= max_depth:
+            yield word, a, inside
+            break
+        step, held = scale // q, None
+        for digit, da, factor, _ in digits:
+            child, cds = word + digit, center_dists(word + digit)
+            if 0 not in cds and in_cell(center, child):
+                held = child, a + da, step * factor, cds
+            else:
+                stack.append((child, a + da, step * factor, *min(zip(cds, range(3)))))
+    while stack:
+        word, a, scale, d, e = stack.pop()
+        if d >= r:
+            continue
+        inside = d + reach[e] * scale < r
+        if inside or len(word) >= max_depth:
+            yield word, a, inside
+            continue
+        step = scale // q
+        for digit, da, factor, moves in digits:
+            stack.append((word + digit, a + da, step * factor, d + step * moves[e][0], moves[e][1]))
+
+
+@pytest.mark.parametrize("s0", [HALF, Fraction(1, 3), Fraction(2, 5)])
+def test_folded_cover_matches_the_cell_by_cell_descent(s0):
+    """Seeded random centres, radii and depths 0-9: the folded counts, and at
+    s0 = 1/2 the words of `ball_cell_words`, equal the oracle's cell by cell."""
+    rng = random.Random(19)
+    metric = Metric(s0)
+    mixed = 0
+    for _ in range(60):
+        depth = rng.randint(0, 9)
+        word = "".join(rng.choice("0123") for _ in range(rng.randint(0, 6)))
+        center = canonicalize(word, rng.randint(1, 3))
+        radius = rng.choice([Fraction(1, 2 ** rng.randint(1, 8)), Fraction(rng.randint(1, 40), rng.randint(21, 97))])
+        cells = list(_descent_oracle(center, radius, depth, metric))
+        counts = Counter((len(w), a, inside) for w, a, inside in cells)
+        assert measure._ball_cover_counts(center, radius, depth, metric) == dict(counts)
+        mixed += {inside for _, _, inside in counts} == {True, False}
+        if s0 == HALF:
+            want = [w + tail for w, _, _ in cells for tail in words_of_length(depth - len(w))]
+            assert sorted(network.ball_cell_words(center, radius, depth)) == sorted(want)
+    assert mixed >= 25
+
+
+def test_doubling_bounds_at_y6_tighten_with_depth():
+    """Depths 12, 16 and 20 at y_6, r = 1/64: each ball's bounds nest, and
+    depth 20 runs in under 0.1 s (a cell-by-cell descent took 1.3 s)."""
+    w = WeightVector.parse("1/10,2/5")
+    y6 = canonicalize("2" + "0" * 5, 2)
+    runs = []
+    for depth in (12, 16, 20):
+        start = time.perf_counter()
+        runs.append(doubling_ratio(w, y6, Fraction(1, 64), max_depth=depth, metric=Metric(HALF))[1:])
+        seconds = time.perf_counter() - start
+    assert seconds < 0.1
+    for coarse, fine in zip(runs, runs[1:]):
+        for a, b in zip(coarse, fine):
+            assert a.lower <= b.lower and b.upper <= a.upper
