@@ -339,17 +339,16 @@ class _BallCover:
             if isinstance(node, bool):
                 out.append((word, a, leaf(len(word), node)))
                 continue
-            todo = [node]
+            todo = [(node, self._rule(node))]  # (state, its rule), children above parents
             while todo:
-                state = todo[-1]
+                state, got = todo[-1]
                 if state in memo:
                     todo.pop()
                     continue
-                got = self._rule(state)
                 if isinstance(got, list):
-                    waiting = [kid for _, _, kid in got if kid not in memo]
+                    waiting = [(kid, self._rule(kid)) for _, _, kid in got if kid not in memo]
                     if waiting:
-                        todo.extend(waiting)
+                        todo += waiting
                         continue
                     got = join([(digit, da, memo[kid]) for digit, da, kid in got if memo[kid] is not None])
                 elif got is not None:
@@ -363,10 +362,14 @@ class _BallCover:
 
 def ball_cell_words(center: Vertex, radius: Fraction, level: int) -> list[str]:
     """Level-`level` cells that meet the open ball B(center, radius) (s0 = 1/2)."""
-    tails = cache(lambda depth, inside: list(words_of_length(level - depth)))
-    join = lambda kids: [digit + tail for digit, _, below in kids for tail in below]
-    cells = _BallCover(center, radius, level, _half_metric()).fold(tails, join)
-    return [word + tail for word, _, below in cells for tail in below]
+    # fold to the leaves' word suffixes and expand each leaf at the end, so the
+    # memo holds no level words; a leaf's word length is its depth
+    cells = _BallCover(center, radius, level, _half_metric()).fold(
+        lambda depth, inside: [""],
+        lambda kids: [digit + suffix for digit, _, below in kids for suffix in below],
+    )
+    leaves = [word + suffix for word, _, below in cells for suffix in below]
+    return [leaf + tail for leaf in leaves for tail in words_of_length(level - len(leaf))]
 
 
 @dataclass
