@@ -410,10 +410,10 @@ def measure_ball_bounds(
     (`_ball_cover_counts`, folded over the cover's distinct cell states,
     so the cost grows with the depth, not with the number of cells): the
     inside cells give the lower bound, and the straddling cells at
-    `max_depth` count for the upper bound only.  With (n, D^k) =
-    `cell_measure_units(w, k)`, a cell at depth k with a digits in {0,1}
-    weighs n[a] D^(top-k) in the unit 1/D^top, top the depth.  The metric
-    defaults to the shared s0 = 1/2 one.
+    `max_depth` count for the upper bound only.  With ((n2, n0), D) =
+    `cell_measure_units(w, 1)`, a cell at depth k with a digits in {0,1}
+    weighs n0^a n2^(k-a) D^(top-k) in the unit 1/D^top, top the depth.
+    The metric defaults to the shared s0 = 1/2 one.
     """
     radius = Fraction(radius)
     metric = metric or _half_metric()
@@ -421,10 +421,10 @@ def measure_ball_bounds(
     if radius >= 2:
         return IntegralBounds(Fraction(1), Fraction(1))
     top = max(max_depth, 0)
-    D = cell_measure_units(w, 1)[1]
+    (n2, n0), D = cell_measure_units(w, 1)
     sums = {True: 0, False: 0}
     for (depth, a, inside), n in _ball_cover_counts(center, radius, top, metric).items():
-        sums[inside] += n * cell_measure_units(w, depth)[0][a] * D ** (top - depth)
+        sums[inside] += n * n0**a * n2 ** (depth - a) * D ** (top - depth)
     lo = Fraction(sums[True], D**top)
     return IntegralBounds(lo, min(Fraction(sums[True] + sums[False], D**top), Fraction(1)))
 
