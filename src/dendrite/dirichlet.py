@@ -1,15 +1,15 @@
 """Exact and floating Dirichlet solves on tree networks.
 
-The solver is a two-pass tree elimination: a backward sweep expresses
-every free vertex as an affine function of its parent, a forward sweep
-substitutes values.  With Fraction conductances the exact mode returns
-the energy minimiser exactly; float mode runs the same direct algorithm
-in double precision for large levels.
+The solver is a tree elimination: one breadth-first pass reads each free
+vertex's edges once, linking it to its parent and summing its pinned
+neighbours; a backward sweep expresses every free vertex as an affine
+function of its parent, a forward sweep substitutes values.  With Fraction
+conductances the exact mode returns the energy minimiser exactly; float
+mode runs the same direct algorithm in double precision for large levels.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -30,12 +30,10 @@ class VertexFunction:
         return self.values[self.graph.vertex_id(v)]
 
 
-def _as_mode(x, mode: str):
-    return Fraction(x) if mode == "exact" else float(x)
-
-
-def _float_reader():
-    """c -> float(c), worked out once per conductance object (edges share a few), keyed by id."""
+def _conductance(mode: str):
+    """c in exact mode, else float(c), worked out once per conductance object (edges share a few), keyed by id."""
+    if mode == "exact":
+        return lambda c: c
     floats: dict[int, float] = {}
     return lambda c: floats.get(id(c)) or floats.setdefault(id(c), float(c))
 
@@ -56,75 +54,70 @@ def solve_dirichlet(
         raise ValueError("mode must be 'exact' or 'float'")
     if not pinned:
         raise ValueError("constraints must pin at least one vertex")
-    pin = {}
-    for v, val in pinned.items():
-        pin[graph.vertex_id(v)] = _as_mode(val, mode)
-    load = [_as_mode(0, mode)] * len(graph.vertices)
+    number, cond = (Fraction if mode == "exact" else float), _conductance(mode)
+    zero, one = number(0), number(1)
+    pin = {graph.vertex_id(v): number(val) for v, val in pinned.items()}
+    n = len(graph.vertices)
+    load = [zero] * n
     # a vertex carries current when it has a load, a pinned neighbour or a
     # child that carries current; one that does not is the exact case
     # alpha = 1, beta = 0 and simply takes its parent's value
-    carries = [False] * len(graph.vertices)
+    carries = [False] * n
     if masses:
         for v, m in masses.items():
             i = graph.vertex_id(v)
-            load[i] += _as_mode(m, mode)
+            load[i] += number(m)
             carries[i] = True
 
-    # sweep the free subgraph only; cycles through pinned vertices are fine
-    # (pinned values are Dirichlet data, their mutual topology is irrelevant)
-    n = len(graph.vertices)
-    as_float = _float_reader()
-    zero = _as_mode(0, mode)
-    one = _as_mode(1, mode)
-    parent = [-1] * n
+    # breadth-first over the free subgraph, `order` doubling as the queue; a
+    # parent of None marks a vertex not yet reached, -1 a root.  Cycles through
+    # pinned vertices are fine: pinned values are Dirichlet data.
+    parent: list = [None] * n
     parent_cond = [zero] * n
-    seen = [False] * n
-    order = []
+    pinned_sums = {}  # free id -> (sum of c, sum of c * value) over its pinned neighbours
+    no_pins = zero, zero
+    order, k = [], 0
     for start in range(n):
-        if seen[start] or start in pin:
+        if parent[start] is not None or start in pin:
             continue
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            order.append(i)
+        parent[start] = -1
+        order.append(start)
+        while k < len(order):
+            i = order[k]
+            k += 1
             for j, c in graph.adj[i]:
                 if j in pin:
-                    continue
-                if not seen[j]:
-                    seen[j] = True
+                    cc = cond(c)
+                    pinned_c, pinned_b = pinned_sums.get(i, no_pins)
+                    pinned_sums[i] = pinned_c + cc, pinned_b + cc * pin[j]
+                    carries[i] = True
+                elif parent[j] is None:
                     parent[j] = i
-                    parent_cond[j] = c if mode == "exact" else as_float(c)
-                    queue.append(j)
+                    parent_cond[j] = cond(c)
+                    order.append(j)
                 elif j != parent[i]:
                     raise RuntimeError("free subgraph contains a cycle")
 
+    # backward sweep: each carrying vertex as an affine function of its parent
     alpha = [zero] * n
     beta = [zero] * n
     agg_c = [zero] * n  # sum of k_i (1 - alpha_i) over processed children
-    agg_b = [zero] * n  # sum of k_i beta_i, plus pinned-neighbour terms
+    agg_b = [zero] * n  # sum of k_i beta_i over processed children
     for i in reversed(order):
-        pinned_c = zero
-        pinned_b = zero
-        for j, c in graph.adj[i]:
-            if j in pin:
-                cc = c if mode == "exact" else as_float(c)
-                pinned_c += cc
-                pinned_b += cc * pin[j]
-                carries[i] = True
-        if parent[i] >= 0 and not carries[i]:
+        p = parent[i]
+        if p >= 0 and not carries[i]:
             continue
-        pc = parent_cond[i] if parent[i] >= 0 else zero
+        pinned_c, pinned_b = pinned_sums.get(i, no_pins)
+        pc = parent_cond[i]  # zero at a root
         denom = agg_c[i] + pinned_c + pc
         if denom == 0:
             raise RuntimeError("floating component without pinned vertex")
-        alpha[i] = pc / denom if parent[i] >= 0 else zero
+        alpha[i] = pc / denom
         beta[i] = (agg_b[i] + pinned_b + load[i]) / denom
-        p = parent[i]
         if p >= 0:
             carries[p] = True
-            agg_c[p] += parent_cond[i] * (one - alpha[i])
-            agg_b[p] += parent_cond[i] * beta[i]
+            agg_c[p] += pc * (one - alpha[i])
+            agg_b[p] += pc * beta[i]
 
     values = [zero] * n
     for i, val in pin.items():
@@ -144,16 +137,13 @@ def solve_dirichlet(
 
 def dirichlet_energy(graph: Network, f: VertexFunction):
     """Sum over edges of conductance times squared increment."""
-    as_float = _float_reader()
+    cond = _conductance(f.mode)
     total = Fraction(0) if f.mode == "exact" else 0.0
     values = f.values
     for i, j, c in graph.edges:
-        a, b = values[i], values[j]
-        if a == b:
-            continue
-        du = a - b
-        cc = c if f.mode == "exact" else as_float(c)
-        total += cc * du * du
+        if values[i] != values[j]:
+            du = values[i] - values[j]
+            total += cond(c) * du * du
     return total
 
 
@@ -167,7 +157,7 @@ def _potential(graph: Network, low, high, mode: str):
     pinned.update({v: 1 for v in high})
     u = solve_dirichlet(graph, pinned, mode=mode)
     top, values = {graph.vertex_id(v) for v in high}, u.values
-    cond = (lambda c: c) if mode == "exact" else _float_reader()
+    cond = _conductance(mode)
     current = sum(cond(c) * (1 - values[j]) for i in top for j, c in graph.adj[i] if j not in top)
     return u, 1 / current
 
@@ -210,10 +200,16 @@ def green_g1(
     mode: str = "exact",
 ) -> VertexFunction:
     """Discrete Green problem on a ball: zero on the frontier, Laplacian = mass inside."""
-    interior = region.interior
+    cut, vertex_id = region.cut(), region.graph.vertex_id
     for v in masses:
-        if v not in interior and canonicalize(*v) not in interior:
+        try:
+            inside = region.units[vertex_id(v)] < cut
+        except KeyError:  # not in the graph
+            inside = False
+        if not inside:
             raise ValueError(f"mass on non-interior vertex {vertex_str(v)}")
-    if not region.frontier:
+    # the graph is connected and the center inside, so the frontier is
+    # empty exactly when no vertex lies off the ball
+    if max(region.units) < cut:
         raise ValueError("ball has empty frontier; enlarge the level or shrink the radius")
     return solve_on_ball(region, {}, masses=masses, mode=mode)

@@ -44,7 +44,8 @@ def boundary_resistance(
     """
     region = q0_ball(n, level, graph)
     x = canonicalize(*x)
-    if x not in region.interior:
+    i = region.graph.index.get(x)
+    if i is None or region.units[i] >= region.cut():
         raise ValueError(f"{vertex_str(x)} is not interior to the ball")
     psi, r = equilibrium_potential(region.graph, x, region.frontier, mode=mode)
     return region, psi, r

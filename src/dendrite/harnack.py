@@ -16,7 +16,7 @@ from typing import Optional
 from .addressing import on_cantor_piece
 from .dirichlet import VertexFunction, solve_on_ball
 from .exit_time import fit_log2_slope, q0_ball
-from .measure import WeightVector, cell_measure_table, classify_region_cells
+from .measure import WeightVector, cell_measure_units, classify_region_cells
 from .network import BallRegion, LevelGraph, radius_crossings
 from .reduction import x_point_word
 
@@ -172,7 +172,8 @@ def weh_ratio(
     half = Fraction(1, 2**(n + 1))
     inside, straddle = classify_region_cells(region, radius=half)
     full = set(inside)
-    mu = [float(m) for m in cell_measure_table(w, graph.level)]
+    nums, den = cell_measure_units(w, graph.level)
+    mu = [num / den for num in nums]  # int / int rounds each exact measure once, as float(Fraction) does
     values, corners = sol.values, graph.corners
     d = float(delta)
     num_lo = num_hi = 0.0

@@ -93,13 +93,6 @@ def cell_measure_units(w: WeightVector, level: int) -> tuple[tuple[int, ...], in
     return tuple(n0**a * n2 ** (level - a) for a in range(level + 1)), d**level
 
 
-@cache
-def cell_measure_table(w: WeightVector, level: int) -> tuple[Fraction, ...]:
-    """Measures of the level-`level` cells, indexed by their digits in {0,1}."""
-    nums, den = cell_measure_units(w, level)
-    return tuple(Fraction(n, den) for n in nums)
-
-
 @dataclass(frozen=True)
 class IntegralBounds:
     lower: Fraction
@@ -370,7 +363,7 @@ def ball_measure(w: WeightVector, region: BallRegion) -> IntegralBounds:
     """Certified measure bounds of the region's open ball, by `measure_ball_bounds` down to its level."""
     if region.graph.s0 != Fraction(1, 2):
         raise ValueError("cell classification assumes s0 = 1/2")
-    return measure_ball_bounds(region.center, region.radius, w, max_depth=region.level)
+    return measure_ball_bounds(region.center, region.radius, w, max_depth=region.graph.level)
 
 
 def _shifted_sum(parts) -> dict:

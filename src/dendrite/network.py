@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -26,8 +26,9 @@ class CapacityError(Exception):
 
 
 def _adjacency(n: int, edges: Iterable[tuple[int, int, Fraction]]):
+    """Neighbour lists of ids 0..n-1, filled in sorted edge order, so `Network.edges` reads that order back."""
     adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-    for i, j, c in edges:
+    for i, j, c in sorted(edges):
         adj[i].append((j, c))
         adj[j].append((i, c))
     return adj
@@ -37,19 +38,23 @@ def _adjacency(n: int, edges: Iterable[tuple[int, int, Fraction]]):
 class Network:
     """Conductance network on vertex ids.
 
-    `vertices[i]` is the label of id i and `index` inverts it; `edges`
-    holds sorted (i, j, conductance) triples with i < j, and `adj[i]`
-    the (neighbour, conductance) pairs of i.  Labels are vertices in
-    normal form, or names such as the grounded node "GND".  Every edge
-    resistance is a whole multiple of 1/`unit`, so tree distances are
-    walked in integers.
+    `vertices[i]` is the label of id i and `index` inverts it.  The
+    edges are stored once, as `adj[i]`, the (neighbour, conductance)
+    pairs of i; `edges` lists them as (i, j, conductance) triples.
+    Labels are vertices in normal form, or names such as the grounded
+    node "GND".  Every edge resistance is a whole multiple of 1/`unit`,
+    so tree distances are walked in integers.
     """
 
     vertices: list
     index: dict
-    edges: list[tuple[int, int, Fraction]]
     adj: list[list[tuple[int, Fraction]]]
     unit: int
+
+    @property
+    def edges(self) -> list[tuple[int, int, Fraction]]:
+        """The (i, j, conductance) triples with i < j, sorted."""
+        return [(i, j, c) for i, pairs in enumerate(self.adj) for j, c in pairs if i < j]
 
     @classmethod
     def from_edges(cls, triples: Iterable[tuple[object, object, Fraction]]) -> Network:
@@ -72,9 +77,8 @@ class Network:
                     vertices.append(x)
             i, j = sorted((index[u], index[v]))
             cond[i, j] = cond.get((i, j), Fraction(0)) + Fraction(c)
-        edges = sorted((i, j, c) for (i, j), c in cond.items())
         unit = lcm(*(c.numerator for c in cond.values()))
-        return cls(vertices, index, edges, _adjacency(len(vertices), edges), unit)
+        return cls(vertices, index, _adjacency(len(vertices), ((i, j, c) for (i, j), c in cond.items())), unit)
 
     def vertex_id(self, v) -> int:
         """Id of a label; a vertex not found as given is looked up in normal form."""
@@ -213,12 +217,10 @@ def build_cells_graph(words: Iterable[str], s0: Fraction, level: int) -> LevelGr
         c = cond[a]
         edges.append((q1, q2, c) if q1 < q2 else (q2, q1, c))
         edges.append((q1, q3, c) if q1 < q3 else (q3, q1, c))
-    edges.sort()
+    adj = _adjacency(len(vertices), edges)
+    del edges
     index = {v: i for i, v in enumerate(vertices)}
-    return LevelGraph(
-        vertices, index, edges, _adjacency(len(vertices), edges), s0.denominator**level,
-        level, s0, words, corners, bytes(s0_digits),
-    )
+    return LevelGraph(vertices, index, adj, s0.denominator**level, level, s0, words, corners, bytes(s0_digits))
 
 
 def build_level_graph(level: int, s0: Fraction = Fraction(1, 2)) -> LevelGraph:
@@ -235,6 +237,27 @@ def build_level_graph(level: int, s0: Fraction = Fraction(1, 2)) -> LevelGraph:
 # farthest distance from F_w(q1), F_w(q2), F_w(q3) to a point of K_w, in units of s_w
 _CORNER_REACH = (1, 2, 2)
 _half_metric = cache(lambda: Metric(Fraction(1, 2)))  # made on first use; every cover shares its memo
+
+
+def _in_units(d: Fraction, unit: int) -> int:
+    """d * unit, which must be an integer: else `ArithmeticError`."""
+    n, rem = divmod(d.numerator * unit, d.denominator)
+    if rem:
+        raise ArithmeticError(f"distance {d} is not a multiple of 1/{unit}")
+    return n
+
+
+@cache
+def _digit_moves(s0: Fraction) -> tuple:
+    """The cover's table per child digit i, for s0 = p/q, read off the unit cell once per s0: its
+    count of digits in {0,1}, its scale over the parent's scale / q, and per parent corner the
+    distance to the child's nearest corner in that unit, with that corner."""
+    metric, p, q = Metric(s0), s0.numerator, s0.denominator
+    return tuple(
+        (str(i), int(i < 2), p if i < 2 else q - p,
+         tuple(min((_in_units(metric.dist(("", k), (str(i), j + 1)), q), j) for j in range(3)) for k in (1, 2, 3)))
+        for i in range(4)
+    )
 
 
 class _BallCover:
@@ -272,27 +295,14 @@ class _BallCover:
         if radius <= 0:
             raise ValueError("radius must be positive")
         center = canonicalize(*center)
-        p, q = metric.s0.numerator, metric.s0.denominator
+        q = metric.s0.denominator
         unit = q ** (max(max_depth, len(center[0]), 0) + 2) * radius.denominator
 
-        def units(d: Fraction, per_unit: int = unit) -> int:
-            n, rem = divmod(d.numerator * per_unit, d.denominator)
-            if rem:
-                raise ArithmeticError(f"distance {d} is not a multiple of 1/{per_unit}")
-            return n
-
         def center_dists(word: str) -> tuple[int, int, int]:
-            return tuple(units(metric.dist(center, (word, j))) for j in (1, 2, 3))
+            return tuple(_in_units(metric.dist(center, (word, j)), unit) for j in (1, 2, 3))
 
-        # per child digit i: its count of digits in {0,1}, its scale over the
-        # parent's scale / q, and per parent corner the distance to the child's
-        # nearest corner in that unit, with that corner (from the unit cell)
-        self._digits = [
-            (str(i), int(i < 2), p if i < 2 else q - p,
-             [min((units(metric.dist(("", k), (str(i), j + 1)), q), j) for j in range(3)) for k in (1, 2, 3)])
-            for i in range(4)
-        ]
-        self._q, self._r, self._max_depth = q, units(radius), max_depth
+        self._digits = _digit_moves(metric.s0)
+        self._q, self._r, self._max_depth = q, _in_units(radius, unit), max_depth
         # (word, a, node) per cell under which the cover hangs: the chain's last
         # cell with its inside flag, and each child of the chain off it, with its state
         self.cells = []
@@ -376,25 +386,39 @@ def ball_cell_words(center: Vertex, radius: Fraction, level: int) -> list[str]:
 class BallRegion:
     """Interior/frontier split of a metric ball on a level graph.
 
-    Distances from the center are kept as the graph's integer walk: the
-    vertex with id i lies at `units[i] / graph.unit` from the center.
+    It is stored once, as the graph's integer walk from the center: the
+    vertex with id i lies at `units[i] / graph.unit` from it, and inside
+    the ball when `units[i] < cut()`.  `interior`, `frontier` and
+    `cut_edges` are label views of it, made on first use.
     """
 
     graph: LevelGraph
     center: Vertex
     radius: Fraction
-    interior: frozenset[Vertex]
-    frontier: frozenset[Vertex]
     units: list[int]  # distance from the center in units of 1/graph.unit, indexed by vertex id
-    cut_edges: list[tuple[Vertex, Vertex, Fraction]]  # (inside, outside, crossing fraction)
-
-    @property
-    def level(self) -> int:
-        return self.graph.level
 
     def cut(self, radius: Optional[Fraction] = None) -> int:
         """The least integer distance outside the open ball of `radius` (default: the region's)."""
         return units_cut(self.radius if radius is None else Fraction(radius), self.graph.unit)
+
+    @cached_property
+    def interior(self) -> frozenset[Vertex]:
+        """The vertices inside the open ball."""
+        cut = self.cut()
+        return frozenset([v for v, d in zip(self.graph.vertices, self.units) if d < cut])
+
+    @cached_property
+    def cut_edges(self) -> list[tuple[Vertex, Vertex, Fraction]]:
+        """(inside, outside, crossing fraction) per edge that leaves the ball, sorted."""
+        vertices = self.graph.vertices
+        # ids follow the vertex order, so sorting by id sorts by vertex
+        crossings = sorted(radius_crossings(self.graph, self.units, self.radius))
+        return [(vertices[i], vertices[j], t) for i, j, t in crossings]
+
+    @cached_property
+    def frontier(self) -> frozenset[Vertex]:
+        """The grounded vertices: those off the ball with an edge into it."""
+        return frozenset(v for _, v, _ in self.cut_edges)
 
 
 def units_cut(radius: Fraction, unit: int) -> int:
@@ -414,13 +438,12 @@ def radius_crossings(graph: Network, units: Sequence[int], radius: Fraction):
     cut = units_cut(radius, unit)
     num, den = radius.numerator * unit, radius.denominator
     out = []
-    for i, j, cond in graph.edges:
-        di, dj = units[i], units[j]
-        if (di < cut) == (dj < cut):
-            continue
-        if di > dj:
-            i, j, di = j, i, dj
-        out.append((i, j, Fraction((num - di * den) * cond.numerator, den * unit * cond.denominator)))
+    for i, pairs in enumerate(graph.adj):
+        inside = units[i] < cut
+        for j, cond in pairs:
+            if j > i and (units[j] < cut) != inside:
+                a, b = (i, j) if inside else (j, i)
+                out.append((a, b, Fraction((num - units[a] * den) * cond.numerator, den * unit * cond.denominator)))
     return out
 
 
@@ -430,23 +453,7 @@ def ball(graph: LevelGraph, center: Vertex, radius: Fraction) -> BallRegion:
     if radius <= 0:
         raise ValueError("radius must be positive")
     center = canonicalize(*center)
-    units = graph._walk(graph.vertex_id(center))[0]
-    cut = units_cut(radius, graph.unit)
-    vertices = graph.vertices
-    interior = frozenset([v for v, d in zip(vertices, units) if d < cut])
-    # ids follow the vertex order, so sorting by id sorts by vertex
-    crossings = sorted(radius_crossings(graph, units, radius))
-    cut_edges = [(vertices[i], vertices[j], t) for i, j, t in crossings]
-    frontier = frozenset(v for _, v, _ in cut_edges)
-    return BallRegion(
-        graph=graph,
-        center=center,
-        radius=radius,
-        interior=interior,
-        frontier=frontier,
-        units=units,
-        cut_edges=cut_edges,
-    )
+    return BallRegion(graph, center, radius, graph._walk(graph.vertex_id(center))[0])
 
 
 def ball_graph(n: int, level: int) -> LevelGraph:
@@ -471,7 +478,7 @@ def schur_trace(graph: Network, keep: Sequence[Vertex]) -> Network:
     kept = sorted({graph.vertex_id(v) for v in keep})
     if len(kept) < 2:
         raise ValueError("need at least two kept vertices")
-    if len(graph.edges) != len(graph.vertices) - 1:
+    if sum(map(len, graph.adj)) != 2 * (len(graph.vertices) - 1):
         raise RuntimeError("non-tree structure: the network has a cycle")
     dist, parent = graph._walk(kept[0])
     unit = graph.unit
@@ -490,9 +497,8 @@ def schur_trace(graph: Network, keep: Sequence[Vertex]) -> Network:
         links.append((min(u, i), max(u, i), Fraction(unit, dist[i] - dist[u])))
     vertices = [graph.vertices[i] for i in kept]
     new_id = {i: k for k, i in enumerate(kept)}
-    edges = sorted((new_id[a], new_id[b], c) for a, b, c in links)
     index = {v: k for k, v in enumerate(vertices)}
-    return Network(vertices, index, edges, _adjacency(len(vertices), edges), unit)
+    return Network(vertices, index, _adjacency(len(vertices), ((new_id[a], new_id[b], c) for a, b, c in links)), unit)
 
 
 def resistance_distance(graph: Network, u: Vertex, v: Vertex) -> Fraction:

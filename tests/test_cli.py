@@ -1,17 +1,23 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from dendrite import checks, cli, network
 
 BASE = [sys.executable, "-m", "dendrite.cli"]
+# a child process imports the dendrite package that this process imported
+CHILD_PATH = os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")])
+)
 
 
 def run_cli(*args, env=None):
-    full_env = dict(os.environ)
+    full_env = dict(os.environ, PYTHONPATH=CHILD_PATH)
     if env:
         full_env.update(env)
     return subprocess.run(
@@ -237,6 +243,94 @@ def test_bad_arguments_exit_with_a_code_and_no_traceback(monkeypatch, capsys, tm
         assert "Traceback" not in captured.err, argv
 
 
+# the argument grammar of every command but verify: per flag, the kind of value it
+# takes (None for a switch), and whether the command requires it
+FUZZ_VALUES = {
+    "int": ["-1", "0", "1", "2", "3", "4", "5"],
+    "frac": ["1/2", "1/3", "2/5", "1", "3/2", "1/4", "0", "-1/2", "1/0"],
+    "fracs": ["1/2,1", "1/2,1,3/2,2", "1", "1,0", "2/3,-1"],
+    "range": ["1", "2", "1..3", "2..4", "2,3", "3..2", "0..2", "1,0"],
+    "weights": ["1/4,1/4", "1/10,2/5", "1/6,1/3", "1,1", "1/0,1", "1/4"],
+    "vertex": ["2:1", "-:1", "-:2", "-:3", "02:1", "0:2", "13:3", "04:1", "zz:9", "2:7"],
+    "word": ["-", "0", "02", "213", "4", ""],
+    "kind": ["udown", "uup", "uminus", "uplus", "nope"],
+    "params": ["0,1,0", "1,1/2,1/4", "1,2", "x"],
+    "coeffs": ["xmk", "yk", "zz"],
+}
+FUZZ_BAD_TOKENS = ["", "x", "nan", "inf", "-", "1/", ",", "..", "1.5", "2a", "--n"]
+FUZZ_GLOBAL = {"--s0": "frac", "--weights": "weights", "--max-level": "int", "--config": "config"}
+FUZZ_COMMANDS = {
+    "graph": {"--level": ("int", True), "--out": ("path", False)},
+    "resistance": {"--from": ("vertex", True), "--to": ("vertex", True), "--level": ("int", False),
+                   "--float": (None, False)},
+    "ball": {"--n": ("int", True), "--level": ("int", True), "--out": ("path", False)},
+    "harmonics": {"--kind": ("kind", False), "--params": ("params", False), "--at": ("vertex", False),
+                  "--coeffs": ("coeffs", False), "--n": ("int", False), "--m0": ("int", False),
+                  "--k0": ("int", False), "--out": ("path", False)},
+    "measure": {"--cell": ("word", False), "--integrate": ("kind", False), "--params": ("params", False),
+                "--depth": ("int", False)},
+    "exit-ratio": {"--n": ("range", True), "--level-offset": ("int", False), "--out": ("path", False),
+                   "--summary": ("path", False)},
+    "ehi": {"--n": ("range", True), "--k": ("int", False), "--epsilon": ("frac", False),
+            "--level-offset": ("int", False), "--out": ("path", False)},
+    "weh": {"--delta": ("frac", False), "--rho": ("fracs", False), "--n": ("range", True),
+            "--level-offset": ("int", False), "--out": ("path", False)},
+    "doubling": {"--n": ("range", True), "--x": ("vertex", False), "--radius": ("frac", False),
+                 "--out": ("path", False)},
+}
+
+
+def _fuzz_argv(rng, paths):
+    """One argv drawn from the grammar: mostly well-formed values, sometimes a bad
+    token, a dropped value, a missing required flag or an unknown flag."""
+    values = dict(FUZZ_VALUES, path=paths["out"], config=paths["config"])
+
+    def value(kind):
+        if kind != "path" and rng.random() < 0.08:  # a bad output path would write into the working directory
+            return rng.choice(FUZZ_BAD_TOKENS)
+        return rng.choice(values[kind])
+
+    argv = []
+    for flag, kind in FUZZ_GLOBAL.items():
+        if rng.random() < 0.15:
+            argv += [flag, value(kind)]
+    command = rng.choice(list(FUZZ_COMMANDS))
+    argv.append(command)
+    for flag, (kind, required) in FUZZ_COMMANDS[command].items():
+        if rng.random() < (0.95 if required else 0.35):
+            argv.append(flag)
+            if kind is not None and rng.random() > 0.03:
+                argv.append(value(kind))
+    if rng.random() < 0.03:
+        argv.insert(rng.randrange(len(argv) + 1), "--bogus")
+    return argv
+
+
+def test_fuzzed_arguments_exit_with_a_code_and_no_traceback(monkeypatch, capsys, tmp_path):
+    """600 seeded argvs from the argument grammar, at a level cap of 5: every run
+    ends with exit code 0, 2, 3 or 4 and prints no traceback."""
+    monkeypatch.setenv("DENDRITE_MAX_LEVEL", "5")
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"weights": "1/10,2/5", "max_level": 4}))
+    bad.write_text('{"max_level": "x"}')
+    paths = {"out": [str(tmp_path / "out.csv")], "config": [str(good), str(bad), str(tmp_path / "none.json")]}
+    rng = random.Random(20)
+    codes = Counter()
+    for _ in range(600):
+        argv = _fuzz_argv(rng, paths)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # a crash names the argv that caused it
+            pytest.fail(f"{argv} raised {exc!r}")
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3, 4), argv
+        assert "Traceback" not in captured.err, argv
+        codes[code] += 1
+    assert set(codes) == {0, 2, 3, 4}, codes
+
+
 @pytest.mark.parametrize(
     "argv, flag, text",
     [(["--s0", "1/0", "measure", "--cell", "2"], "--s0", "1/0"),
@@ -379,7 +473,9 @@ def test_doubling_report():
 def test_cli_import_leaves_the_checks_unloaded():
     """A fresh interpreter, since this test session has imported the checks already."""
     code = "import dendrite.cli, sys; assert 'dendrite.checks' not in sys.modules"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=CHILD_PATH)
+    )
     assert out.returncode == 0, out.stderr
 
 

@@ -141,8 +141,12 @@ def test_green_mass_on_frontier_rejected():
     g = ball_graph(1, 4)
     region = ball(g, Q0, HALF)
     frontier_v = next(iter(region.frontier))
-    with pytest.raises(ValueError):
-        green_g1(region, {frontier_v: 1})
+    assert Q3 not in g.index
+    for v in (frontier_v, Q3):
+        with pytest.raises(ValueError):
+            green_g1(region, {v: 1})
+    # a mass label is read in normal form: F_0(q2) is q0
+    assert green_g1(region, {("0", 2): 1}).values == green_g1(region, {Q0: 1}).values
 
 
 def test_solve_on_ball_pins_everything_outside_the_ball():
@@ -206,3 +210,46 @@ def test_maximum_principle_on_random_pinned_trees():
                 assert sum(c * (exact.values[j] - exact.values[i]) for j, c in tree.adj[i]) == 0
         scale = float(max(abs(lo), abs(hi)))
         assert all(abs(f - float(e)) <= 1e-12 * scale for e, f in zip(exact.values, approx.values))
+
+
+def test_free_cycle_is_refused():
+    g = Network.from_edges([("a", "b", 1), ("b", "c", 2), ("c", "a", 3), ("c", "p", 1)])
+    with pytest.raises(RuntimeError, match="free subgraph contains a cycle"):
+        solve_dirichlet(g, {"p": 0})
+
+
+def test_floating_component_is_refused():
+    g = Network.from_edges([("p", "a", 1), ("b", "c", 2), ("c", "d", 1)])
+    for mode in ("exact", "float"):
+        with pytest.raises(RuntimeError, match="floating component without pinned vertex"):
+            solve_dirichlet(g, {"p": 1}, mode=mode)
+
+
+def _assert_solves_to(g, pins, want, masses=None):
+    exact = solve_dirichlet(g, pins, masses=masses, mode="exact")
+    assert {v: exact[v] for v in g.vertices} == want
+    assert all(type(x) is Fraction for x in exact.values)
+    approx = solve_dirichlet(g, pins, masses=masses, mode="float")
+    assert all(abs(approx[v] - float(x)) <= 1e-12 for v, x in want.items())
+
+
+def test_cycle_closed_through_pinned_vertices_is_solved():
+    """a - b - c - d - a with a and c pinned (and an a - c edge): b and d are two
+    free one-vertex components, and e hangs off b without current."""
+    g = Network.from_edges([
+        ("a", "b", 1), ("b", "c", 2), ("c", "d", 1), ("d", "a", 3), ("a", "c", 5), ("b", "e", 4),
+    ])
+    third = Fraction(1, 3)
+    want = {"a": 1, "b": third, "c": 0, "d": Fraction(3, 4), "e": third}
+    _assert_solves_to(g, {"a": 1, "c": 0}, want)
+
+
+def test_pins_that_cut_a_tree_into_components():
+    """Pins p and q split the tree into a pendant pair at p, a bridge b (with a
+    pendant) between p and q, and a loaded vertex c hanging off q."""
+    g = Network.from_edges([
+        ("a2", "a1", 1), ("a1", "p", 2), ("p", "b", 1), ("b", "q", 3), ("b", "b2", 5), ("q", "c", 2),
+    ])
+    quarter = Fraction(-1, 4)
+    want = {"a2": 2, "a1": 2, "p": 2, "b": quarter, "b2": quarter, "q": -1, "c": Fraction(-1, 2)}
+    _assert_solves_to(g, {"p": 2, "q": -1}, want, masses={"c": 1})

@@ -43,8 +43,10 @@ def test_boundary_resistance_monotone_in_level():
 
 def test_boundary_resistance_rejects_frontier_point():
     g = ball_graph(1, 5)
-    with pytest.raises(ValueError):
-        boundary_resistance(("", 1), 1, 5, graph=g)
+    assert ("", 3) not in g.index
+    for x in (("", 1), ("", 3)):  # on the frontier, and off the ball graph
+        with pytest.raises(ValueError):
+            boundary_resistance(x, 1, 5, graph=g)
 
 
 def test_typical_resistance_uniform_window():

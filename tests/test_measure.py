@@ -16,7 +16,7 @@ from dendrite.measure import (
     WeightVector,
     ball_measure,
     cell_measure,
-    cell_measure_table,
+    cell_measure_units,
     classify_region_cells,
     doubling_ratio,
     extension_matrices,
@@ -193,11 +193,11 @@ def _product_measure(w, word):
 def test_cell_measure_matches_product(weights):
     w = WeightVector.parse(weights)
     for length in range(7):
-        table = cell_measure_table(w, length)
+        nums, den = cell_measure_units(w, length)
         for word in words_of_length(length):
             mu = _product_measure(w, word)
             assert cell_measure(w, word) == mu
-            assert table[sum(d in "01" for d in word)] == mu
+            assert Fraction(nums[sum(d in "01" for d in word)], den) == mu
 
 
 def test_cell_measure_rejects_invalid_word():
