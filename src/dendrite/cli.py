@@ -16,6 +16,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .addressing import canonicalize, parse_vertex, vertex_str
 from .closed_forms import (
@@ -461,9 +462,14 @@ _COMMANDS = {
 }
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built once per process: parsing leaves a parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
         return _COMMANDS[args.command](args, cfg)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .addressing import Vertex, canonicalize, vertex_str
 from .network import BallRegion, Network
@@ -30,12 +30,9 @@ class VertexFunction:
         return self.values[self.graph.vertex_id(v)]
 
 
-def _conductance(mode: str):
-    """c in exact mode, else float(c), worked out once per conductance object (edges share a few), keyed by id."""
-    if mode == "exact":
-        return lambda c: c
-    floats: dict[int, float] = {}
-    return lambda c: floats.get(id(c)) or floats.setdefault(id(c), float(c))
+def _cond_numbers(graph: Network, mode: str) -> Sequence:
+    """The conductance of each half-edge kind, as a Fraction in exact mode and a float in float mode."""
+    return graph.conds if mode == "exact" else [float(c) for c in graph.conds]
 
 
 def solve_dirichlet(
@@ -54,7 +51,7 @@ def solve_dirichlet(
         raise ValueError("mode must be 'exact' or 'float'")
     if not pinned:
         raise ValueError("constraints must pin at least one vertex")
-    number, cond = (Fraction if mode == "exact" else float), _conductance(mode)
+    number, conds = (Fraction if mode == "exact" else float), _cond_numbers(graph, mode)
     zero, one = number(0), number(1)
     pin = {graph.vertex_id(v): number(val) for v, val in pinned.items()}
     n = len(graph.vertices)
@@ -76,6 +73,7 @@ def solve_dirichlet(
     parent_cond = [zero] * n
     pinned_sums = {}  # free id -> (sum of c, sum of c * value) over its pinned neighbours
     no_pins = zero, zero
+    offsets, nbrs, kind = graph.offsets, graph.nbrs, graph.kind
     order, k = [], 0
     for start in range(n):
         if parent[start] is not None or start in pin:
@@ -85,15 +83,16 @@ def solve_dirichlet(
         while k < len(order):
             i = order[k]
             k += 1
-            for j, c in graph.adj[i]:
+            for h in range(offsets[i], offsets[i + 1]):
+                j = nbrs[h]
                 if j in pin:
-                    cc = cond(c)
+                    cc = conds[kind[h]]
                     pinned_c, pinned_b = pinned_sums.get(i, no_pins)
                     pinned_sums[i] = pinned_c + cc, pinned_b + cc * pin[j]
                     carries[i] = True
                 elif parent[j] is None:
                     parent[j] = i
-                    parent_cond[j] = cond(c)
+                    parent_cond[j] = conds[kind[h]]
                     order.append(j)
                 elif j != parent[i]:
                     raise RuntimeError("free subgraph contains a cycle")
@@ -136,14 +135,16 @@ def solve_dirichlet(
 
 
 def dirichlet_energy(graph: Network, f: VertexFunction):
-    """Sum over edges of conductance times squared increment."""
-    cond = _conductance(f.mode)
+    """Sum over edges of conductance times squared increment, in edge order."""
+    conds, offsets, nbrs, kind = _cond_numbers(graph, f.mode), graph.offsets, graph.nbrs, graph.kind
     total = Fraction(0) if f.mode == "exact" else 0.0
     values = f.values
-    for i, j, c in graph.edges:
-        if values[i] != values[j]:
-            du = values[i] - values[j]
-            total += cond(c) * du * du
+    for i, vi in enumerate(values):
+        for h in range(offsets[i], offsets[i + 1]):
+            j = nbrs[h]
+            if j > i and vi != values[j]:
+                du = vi - values[j]
+                total += conds[kind[h]] * du * du
     return total
 
 
@@ -157,8 +158,13 @@ def _potential(graph: Network, low, high, mode: str):
     pinned.update({v: 1 for v in high})
     u = solve_dirichlet(graph, pinned, mode=mode)
     top, values = {graph.vertex_id(v) for v in high}, u.values
-    cond = _conductance(mode)
-    current = sum(cond(c) * (1 - values[j]) for i in top for j, c in graph.adj[i] if j not in top)
+    conds, offsets, nbrs, kind = _cond_numbers(graph, mode), graph.offsets, graph.nbrs, graph.kind
+    current = sum(
+        conds[kind[h]] * (1 - values[nbrs[h]])
+        for i in top
+        for h in range(offsets[i], offsets[i + 1])
+        if nbrs[h] not in top
+    )
     return u, 1 / current
 
 

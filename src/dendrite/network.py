@@ -11,11 +11,14 @@ small reduced networks of `reduction` are all instances of it.
 from __future__ import annotations
 
 import json
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .addressing import Q0, Vertex, canonicalize, check_word, in_cell, vertex_str, words_of_length
 from .metric import Metric
@@ -25,36 +28,87 @@ class CapacityError(Exception):
     """Requested level exceeds the configured maximum or the full-graph limit."""
 
 
-def _adjacency(n: int, edges: Iterable[tuple[int, int, Fraction]]):
-    """Neighbour lists of ids 0..n-1, filled in sorted edge order, so `Network.edges` reads that order back."""
-    adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-    for i, j, c in sorted(edges):
-        adj[i].append((j, c))
-        adj[j].append((i, c))
-    return adj
+def _pack(n: int, tails: Sequence[int], heads: Sequence[int], kind: Sequence[int], kinds: int):
+    """Half-edge arrays (offsets, nbrs, kind) of ids 0..n-1 for the edges tails[e]-heads[e] of kind kind[e] < `kinds`.
+
+    Each edge gives two integer keys (v n + u) kinds + kind, one per end v,
+    and one sort of them lists every vertex's half-edges by ascending
+    neighbour id u: the order that filling neighbour lists from the sorted
+    (i, j) edges gave, so walks and float sums keep their order.
+    """
+    from array import array  # a local import: see build_cells_graph
+
+    keys = [(i * n + j) * kinds + k for i, j, k in zip(tails, heads, kind)]
+    keys += [(j * n + i) * kinds + k for i, j, k in zip(tails, heads, kind)]
+    keys.sort()
+    degree = Counter(tails)
+    degree.update(heads)
+    offsets = array("i", accumulate(map(degree.__getitem__, range(n)), initial=0))
+    return offsets, array("i", [key // kinds % n for key in keys]), array("i", [key % kinds for key in keys])
+
+
+class _Adjacency(Sequence):
+    """`Network.adj`: the (neighbour, conductance) pairs of each id, read off the half-edge arrays."""
+
+    def __init__(self, net: Network):
+        self._net = net
+
+    def __len__(self) -> int:
+        return len(self._net.offsets) - 1
+
+    def __getitem__(self, i: int) -> list[tuple[int, Fraction]]:
+        net, i = self._net, range(len(self))[i]
+        nbrs, kind, conds = net.nbrs, net.kind, net.conds
+        return [(nbrs[h], conds[kind[h]]) for h in range(net.offsets[i], net.offsets[i + 1])]
 
 
 @dataclass
 class Network:
     """Conductance network on vertex ids.
 
-    `vertices[i]` is the label of id i and `index` inverts it.  The
-    edges are stored once, as `adj[i]`, the (neighbour, conductance)
-    pairs of i; `edges` lists them as (i, j, conductance) triples.
-    Labels are vertices in normal form, or names such as the grounded
-    node "GND".  Every edge resistance is a whole multiple of 1/`unit`,
-    so tree distances are walked in integers.
+    `vertices[i]` is the label of id i and `index` inverts it.  Labels
+    are vertices in normal form, or names such as the grounded node
+    "GND".  The edges are stored once, as packed half-edges: the
+    half-edges of id i are h = offsets[i] .. offsets[i+1]-1, listed by
+    ascending neighbour id `nbrs[h]`, and `conds[kind[h]]` is the
+    conductance of h; `conds` is a short table, so no edge holds an
+    object of its own.  `adj[i]` and `edges` are read-only views that
+    give the same facts as (neighbour, conductance) pairs and as sorted
+    (i, j, conductance) triples.  Every edge resistance is a whole
+    multiple of 1/`unit`, so tree distances are walked in integers.
     """
 
     vertices: list
     index: dict
-    adj: list[list[tuple[int, Fraction]]]
+    offsets: Sequence[int]
+    nbrs: Sequence[int]
+    kind: Sequence[int]
+    conds: tuple[Fraction, ...]
     unit: int
+
+    @classmethod
+    def _of_conductances(cls, vertices: list, index: dict, cond: dict[tuple[int, int], Fraction], unit: int) -> Network:
+        """The network of the edges `cond[i, j]`, with one `conds` entry per distinct conductance."""
+        kinds: dict[Fraction, int] = {}
+        kind = [kinds.setdefault(c, len(kinds)) for c in cond.values()]
+        packed = _pack(len(vertices), [i for i, _ in cond], [j for _, j in cond], kind, len(kinds))
+        return cls(vertices, index, *packed, tuple(kinds), unit)
+
+    @property
+    def adj(self) -> Sequence[list[tuple[int, Fraction]]]:
+        """The (neighbour, conductance) pairs of each id, by ascending neighbour."""
+        return _Adjacency(self)
 
     @property
     def edges(self) -> list[tuple[int, int, Fraction]]:
         """The (i, j, conductance) triples with i < j, sorted."""
-        return [(i, j, c) for i, pairs in enumerate(self.adj) for j, c in pairs if i < j]
+        offsets, nbrs, kind, conds = self.offsets, self.nbrs, self.kind, self.conds
+        return [
+            (i, nbrs[h], conds[kind[h]])
+            for i in range(len(offsets) - 1)
+            for h in range(offsets[i], offsets[i + 1])
+            if nbrs[h] > i
+        ]
 
     @classmethod
     def from_edges(cls, triples: Iterable[tuple[object, object, Fraction]]) -> Network:
@@ -77,8 +131,7 @@ class Network:
                     vertices.append(x)
             i, j = sorted((index[u], index[v]))
             cond[i, j] = cond.get((i, j), Fraction(0)) + Fraction(c)
-        unit = lcm(*(c.numerator for c in cond.values()))
-        return cls(vertices, index, _adjacency(len(vertices), ((i, j, c) for (i, j), c in cond.items())), unit)
+        return cls._of_conductances(vertices, index, cond, lcm(*(c.numerator for c in cond.values())))
 
     def vertex_id(self, v) -> int:
         """Id of a label; a vertex not found as given is looked up in normal form."""
@@ -97,23 +150,20 @@ class Network:
         dist: list = [None] * len(self.vertices)
         parent = [-1] * len(self.vertices)
         dist[s] = 0
-        unit = self.unit
-        # the resistance of each conductance object, worked out once: the edges of
-        # a digit class share one Fraction, and its id hashes faster than its value
-        resistance: dict[int, int] = {}
-        adj = self.adj
+        resistance = []  # per kind
+        for cond in self.conds:
+            r, rem = divmod(self.unit * cond.denominator, cond.numerator)
+            assert not rem, f"resistance 1/{cond} is not a multiple of 1/{self.unit}"
+            resistance.append(r)
+        offsets, nbrs, kind = self.offsets, self.nbrs, self.kind
         stack = [s]
         while stack:
             i = stack.pop()
             di = dist[i]
-            for j, cond in adj[i]:
+            for h in range(offsets[i], offsets[i + 1]):
+                j = nbrs[h]
                 if dist[j] is None:
-                    r = resistance.get(id(cond))
-                    if r is None:
-                        r, rem = divmod(unit * cond.denominator, cond.numerator)
-                        assert not rem, f"resistance 1/{cond} is not a multiple of 1/{unit}"
-                        resistance[id(cond)] = r
-                    dist[j] = di + r
+                    dist[j] = di + resistance[kind[h]]
                     parent[j] = i
                     stack.append(j)
         assert all(d is not None for d in dist), "graph is not connected"
@@ -136,6 +186,8 @@ class LevelGraph(Network):
     Cell k is `words[k]`; its corners F_w(q1), F_w(q2), F_w(q3) are the
     vertex ids `corners[3k:3k+3]`, and `s0_digits[k]` counts the digits
     of its word in {0,1}, which fixes its conductance and its measure.
+    Its edges q1-q2 and q1-q3 are the half-edges of kind a =
+    `s0_digits[k]`, and `conds[a]` = s0^-a (1-s0)^-(L-a) for a = 0..L.
     Vertex ids follow the order (word length, word, corner).  The unit
     is q^L for s0 = p/q.
     """
@@ -165,11 +217,14 @@ def word_conductance(word: str, s0: Fraction) -> Fraction:
     return 1 / (s0**a * (1 - s0) ** (len(word) - a))
 
 
-def _sorted_ids(vertices: list[Vertex], raw_corners: Sequence[int]) -> tuple[list[Vertex], Sequence[int]]:
+def _sorted_ids(vertices: list[Vertex], raw_corners: Sequence[int], level: int) -> tuple[list[Vertex], Sequence[int]]:
     """The vertices in the order (word length, word, corner), and the corner ids renumbered to match."""
     from array import array  # a local import: see build_cells_graph
 
-    keys = [(len(word), word, corner) for word, corner in vertices]
+    # one integer per vertex, len(word) | word in base 4 | corner: words of one
+    # length compare as their base-4 values, and every word has at most `level` digits
+    shift = 2 * level + 2
+    keys = [len(word) << shift | int(word or "0", 4) << 2 | corner for word, corner in vertices]
     order = sorted(range(len(vertices)), key=keys.__getitem__)
     remap = [0] * len(vertices)
     for new, old in enumerate(order):
@@ -206,21 +261,15 @@ def build_cells_graph(words: Iterable[str], s0: Fraction, level: int) -> LevelGr
             raw_index.setdefault((t3[:-1] + "3", 1) if t3.endswith("1") else (t3, 3), len(raw_index)),
         ))
     # renumber in deterministic vertex order, and free the first-touch index
-    # before the edge and adjacency lists are made: they are the build's peak
-    vertices, corners = _sorted_ids(list(raw_index), raw_corners)
+    # before the half-edge keys are made: they are the build's peak
+    vertices, corners = _sorted_ids(list(raw_index), raw_corners, level)
     del raw_index
-    # cells with a digits in {0,1} share one conductance
-    cond = [word_conductance("0" * a + "2" * (level - a), s0) for a in range(level + 1)]
-    edges = []
-    it = iter(corners)
-    for a, q1, q2, q3 in zip(s0_digits, it, it, it):
-        c = cond[a]
-        edges.append((q1, q2, c) if q1 < q2 else (q2, q1, c))
-        edges.append((q1, q3, c) if q1 < q3 else (q3, q1, c))
-    adj = _adjacency(len(vertices), edges)
-    del edges
+    # cells with a digits in {0,1} share one conductance, of kind a
+    conds = tuple(word_conductance("0" * a + "2" * (level - a), s0) for a in range(level + 1))
+    q1 = corners[0::3]
+    packed = _pack(len(vertices), q1 + q1, corners[1::3] + corners[2::3], s0_digits + s0_digits, level + 1)
     index = {v: i for i, v in enumerate(vertices)}
-    return LevelGraph(vertices, index, adj, s0.denominator**level, level, s0, words, corners, bytes(s0_digits))
+    return LevelGraph(vertices, index, *packed, conds, s0.denominator**level, level, s0, words, corners, bytes(s0_digits))
 
 
 def build_level_graph(level: int, s0: Fraction = Fraction(1, 2)) -> LevelGraph:
@@ -426,24 +475,29 @@ def units_cut(radius: Fraction, unit: int) -> int:
     return -(-radius.numerator * unit // radius.denominator)
 
 
-def radius_crossings(graph: Network, units: Sequence[int], radius: Fraction):
+def radius_crossings(graph: LevelGraph, units: Sequence[int], radius: Fraction):
     """Edges that leave the open ball {d < radius}, in edge order.
 
     `units` are the distances from the center in units of 1/graph.unit,
     as `graph._walk` gives them.  Returns (inside id, outside id, t) triples,
     where t = (radius - d_inside) times the conductance is the fraction of
-    the edge's resistance that lies inside the ball.
+    the edge's resistance that lies inside the ball.  The cells are
+    scanned, as both edges of a cell leave its corner q1.
     """
-    unit = graph.unit
+    unit, conds = graph.unit, graph.conds
     cut = units_cut(radius, unit)
     num, den = radius.numerator * unit, radius.denominator
     out = []
-    for i, pairs in enumerate(graph.adj):
-        inside = units[i] < cut
-        for j, cond in pairs:
-            if j > i and (units[j] < cut) != inside:
-                a, b = (i, j) if inside else (j, i)
-                out.append((a, b, Fraction((num - units[a] * den) * cond.numerator, den * unit * cond.denominator)))
+    it = iter(graph.corners)
+    for a, q1, q2, q3 in zip(graph.s0_digits, it, it, it):
+        inside = units[q1] < cut
+        for j in (q2, q3):
+            if (units[j] < cut) != inside:
+                i, o = (q1, j) if inside else (j, q1)
+                c = conds[a]
+                out.append((i, o, Fraction((num - units[i] * den) * c.numerator, den * unit * c.denominator)))
+    # back into edge order: by the smaller end's id, then the larger's
+    out.sort(key=lambda e: (e[0], e[1]) if e[0] < e[1] else (e[1], e[0]))
     return out
 
 
@@ -478,7 +532,7 @@ def schur_trace(graph: Network, keep: Sequence[Vertex]) -> Network:
     kept = sorted({graph.vertex_id(v) for v in keep})
     if len(kept) < 2:
         raise ValueError("need at least two kept vertices")
-    if sum(map(len, graph.adj)) != 2 * (len(graph.vertices) - 1):
+    if len(graph.nbrs) != 2 * (len(graph.vertices) - 1):
         raise RuntimeError("non-tree structure: the network has a cycle")
     dist, parent = graph._walk(kept[0])
     unit = graph.unit
@@ -486,7 +540,8 @@ def schur_trace(graph: Network, keep: Sequence[Vertex]) -> Network:
     for i in kept:
         is_kept[i] = True
     crossed = [False] * len(graph.vertices)
-    links = []
+    new_id = {i: k for k, i in enumerate(kept)}
+    links: dict[tuple[int, int], Fraction] = {}
     for i in kept[1:]:
         u = parent[i]
         while not is_kept[u]:
@@ -494,11 +549,10 @@ def schur_trace(graph: Network, keep: Sequence[Vertex]) -> Network:
                 raise RuntimeError(f"non-tree structure: could not eliminate {graph.vertices[u]!r}")
             crossed[u] = True
             u = parent[u]
-        links.append((min(u, i), max(u, i), Fraction(unit, dist[i] - dist[u])))
+        links[new_id[u], new_id[i]] = Fraction(unit, dist[i] - dist[u])
     vertices = [graph.vertices[i] for i in kept]
-    new_id = {i: k for k, i in enumerate(kept)}
     index = {v: k for k, v in enumerate(vertices)}
-    return Network(vertices, index, _adjacency(len(vertices), ((new_id[a], new_id[b], c) for a, b, c in links)), unit)
+    return Network._of_conductances(vertices, index, links, unit)
 
 
 def resistance_distance(graph: Network, u: Vertex, v: Vertex) -> Fraction:

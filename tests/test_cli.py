@@ -331,6 +331,28 @@ def test_fuzzed_arguments_exit_with_a_code_and_no_traceback(monkeypatch, capsys,
     assert set(codes) == {0, 2, 3, 4}, codes
 
 
+def test_parser_is_built_once_and_answers_alike_every_time(monkeypatch, capsys):
+    """`cli.main` builds its parser once per process; a parse, good or bad, leaves
+    it as it was, so a usage error reads the same before and after other runs."""
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    answers = []
+    try:
+        for argv in (["ehi", "--k"], ["measure", "--cell", "2"], ["--bogus", "graph"], ["ehi", "--k"]):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            answers.append((code, *capsys.readouterr()))
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert answers[0] == answers[-1] and answers[0][0] == 2 and "usage: dendrite ehi" in answers[0][2]
+    assert [code for code, _, _ in answers] == [2, 0, 2, 2]
+
+
 @pytest.mark.parametrize(
     "argv, flag, text",
     [(["--s0", "1/0", "measure", "--cell", "2"], "--s0", "1/0"),

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -17,6 +19,7 @@ from dendrite.network import (
     ball_graph,
     build_cells_graph,
     build_level_graph,
+    radius_crossings,
     resistance_distance,
     schur_trace,
     word_conductance,
@@ -200,7 +203,7 @@ def test_integer_walk_matches_fraction_walk():
 
 
 def _reference_ball(g, center, radius):
-    """Oracle: interior, frontier, cut edges with t, and distances of the open ball, in Fractions."""
+    """Oracle: interior, frontier, cut edges with t, distances, and the crossings by id in edge order, in Fractions."""
     dist = _fraction_walk(g, g.vertex_id(center))
     interior = frozenset(v for v, d in zip(g.vertices, dist) if d < radius)
     crossings = []
@@ -209,7 +212,7 @@ def _reference_ball(g, center, radius):
             inner, outer = (i, j) if dist[i] < radius else (j, i)
             crossings.append((inner, outer, (radius - dist[inner]) * c))
     cut_edges = [(g.vertices[i], g.vertices[j], t) for i, j, t in sorted(crossings)]
-    return interior, frozenset(v for _, v, _ in cut_edges), cut_edges, dist
+    return interior, frozenset(v for _, v, _ in cut_edges), cut_edges, dist, crossings
 
 
 def _reference_classify(g, dist, radius):
@@ -250,10 +253,11 @@ def test_ball_region_matches_fraction_reference():
             radii += [Fraction(rng.randint(1, 99), rng.randint(1, 99)) for _ in range(3)]
             for r in radii:
                 region = ball(g, center, r)
-                interior, frontier, cut_edges, ref_dist = _reference_ball(g, center, r)
+                interior, frontier, cut_edges, ref_dist, crossings = _reference_ball(g, center, r)
                 assert region.radius == r and region.center == canonicalize(*center)
                 assert region.interior == interior and region.frontier == frontier
                 assert region.cut_edges == cut_edges
+                assert radius_crossings(g, region.units, r) == crossings
                 assert [Fraction(d, g.unit) for d in region.units] == ref_dist
                 on_vertex += r in ref_dist
                 values = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in g.vertices]
@@ -422,18 +426,23 @@ def test_build_refuses_a_word_off_the_alphabet(word):
         build_cells_graph(["00", word], HALF, 2)
 
 
-def _separates_three(g, keep, w):
+def _neighbours(g):
+    """Each id's neighbour ids, read off `g.adj` once: each `adj[i]` builds its list anew."""
+    return [[j for j, _ in g.adj[i]] for i in range(len(g.vertices))]
+
+
+def _separates_three(nbrs, keep, w):
     """Oracle: whether removing vertex id w leaves kept vertices in three components."""
     seen = {w}
     hit = 0
-    for start, _ in g.adj[w]:
+    for start in nbrs[w]:
         found = False
         seen.add(start)
         stack = [start]
         while stack:
             i = stack.pop()
             found |= i in keep
-            for j, _ in g.adj[i]:
+            for j in nbrs[i]:
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)
@@ -444,11 +453,12 @@ def _separates_three(g, keep, w):
 def _random_kept_sets(g, count, seed):
     """Random kept id sets of 2-8 vertices; every other one closed under branch points."""
     rng = random.Random(seed)
-    branchy = [w for w in range(len(g.vertices)) if len(g.adj[w]) >= 3]
+    nbrs = _neighbours(g)
+    branchy = [w for w in range(len(g.vertices)) if len(nbrs[w]) >= 3]
     for t in range(count):
         keep = set(rng.sample(range(len(g.vertices)), rng.randint(2, 8)))
         while t % 2:
-            extra = [w for w in branchy if w not in keep and _separates_three(g, keep, w)]
+            extra = [w for w in branchy if w not in keep and _separates_three(nbrs, keep, w)]
             if not extra:
                 break
             keep.update(extra)
@@ -458,13 +468,14 @@ def _random_kept_sets(g, count, seed):
 @pytest.mark.parametrize("s0", [HALF, Fraction(2, 5)])
 def test_schur_trace_against_brute_force(s0):
     g = build_level_graph(3, s0)
+    nbrs = _neighbours(g)
     refused = kept_trees = 0
     for keep in _random_kept_sets(g, 200, seed=7):
         kept = [g.vertices[i] for i in sorted(keep)]
         star = any(
-            _separates_three(g, keep, w)
+            _separates_three(nbrs, keep, w)
             for w in range(len(g.vertices))
-            if w not in keep and len(g.adj[w]) >= 3
+            if w not in keep and len(nbrs[w]) >= 3
         )
         if star:
             with pytest.raises(RuntimeError):
@@ -511,3 +522,105 @@ def test_vertex_id_accepts_labels_and_raw_vertices():
     assert (net.vertex_id(Q0), net.vertex_id("GND")) == (0, 1)
     with pytest.raises(KeyError):
         net.vertex_id("ground")
+
+
+def _reference_adjacency(n, edges):
+    """Oracle: neighbour lists of ids 0..n-1 filled in sorted (i, j, c) edge order, as networks stored them unpacked."""
+    adj = [[] for _ in range(n)]
+    for i, j, c in sorted(edges):
+        adj[i].append((j, c))
+        adj[j].append((i, c))
+    return adj
+
+
+def _assert_packed_as(g, triples):
+    """`g` stores exactly the (i, j, c) edges `triples`, i < j: its `adj` and `edges` views equal the reference's."""
+    ref = _reference_adjacency(len(g.vertices), triples)
+    assert len(g.adj) == len(ref) and [g.adj[i] for i in range(len(ref))] == ref
+    assert g.edges == [(i, j, c) for i, pairs in enumerate(ref) for j, c in pairs if i < j]
+    assert len(g.offsets) == len(g.vertices) + 1
+    assert g.offsets[-1] == len(g.nbrs) == len(g.kind) == 2 * len(g.edges)
+
+
+def _cell_triples(g):
+    """Oracle: the two edges of each cell, from `canonicalize` and the digit product, by the graph's labels."""
+    triples = []
+    for word in g.words:
+        q1, q2, q3 = (g.index[canonicalize(word, j)] for j in (1, 2, 3))
+        c = _product_conductance(word, g.s0)
+        triples += [(min(q1, q), max(q1, q), c) for q in (q2, q3)]
+    return triples
+
+
+def test_packed_level_graphs_match_the_reference_adjacency():
+    rng = random.Random(21)
+    graphs = [build_level_graph(level, s0) for level in range(5) for s0 in (HALF, Fraction(1, 3), Fraction(2, 5))]
+    for _ in range(12):
+        level, s0 = rng.randint(1, 4), rng.choice((HALF, Fraction(1, 3), Fraction(2, 5)))
+        words = list(words_of_length(level))
+        graphs.append(build_cells_graph(rng.sample(words, rng.randint(1, len(words))), s0, level))
+    for g in graphs:
+        assert g.conds == tuple(_product_conductance("0" * a + "2" * (g.level - a), g.s0) for a in range(g.level + 1))
+        _assert_packed_as(g, _cell_triples(g))
+
+
+def test_packed_networks_from_edges_match_the_reference_adjacency():
+    """Random networks with parallel edges and a few cycles: the summed edges, by first-appearance ids."""
+    rng = random.Random(22)
+    conductances = [Fraction(3, 7), Fraction(5, 2), Fraction(1, 3), Fraction(2), Fraction(7, 5)]
+    for _ in range(30):
+        size = rng.randint(2, 40)
+        labels = [("w" * k, 1 + k % 3) if k % 2 else f"v{k}" for k in range(size)]
+        pairs = [(k, rng.randrange(k)) for k in range(1, size)]
+        pairs += rng.sample(pairs, rng.randint(1, len(pairs)))  # parallel edges, summed
+        pairs += [tuple(rng.sample(range(size), 2)) for _ in range(rng.randint(0, 3)) if size > 2]
+        triples = [(labels[a], labels[b], rng.choice(conductances)) for a, b in pairs]
+        rng.shuffle(triples)
+        net = Network.from_edges(triples)
+        first = list(dict.fromkeys(x for u, v, _ in triples for x in (u, v)))
+        assert net.vertices == first
+        summed = {}
+        for u, v, c in triples:
+            key = tuple(sorted((first.index(u), first.index(v))))
+            summed[key] = summed.get(key, 0) + c
+        _assert_packed_as(net, [(i, j, c) for (i, j), c in summed.items()])
+        assert sorted(set(net.conds)) == sorted(set(summed.values())) and len(set(net.conds)) == len(net.conds)
+
+
+def test_packed_schur_traces_match_the_reference_adjacency():
+    """Kept sets closed under branch points: kept a, b are linked iff no other kept vertex lies between them."""
+    sources = [build_level_graph(3, HALF), build_level_graph(3, Fraction(2, 5)), build_level_graph(2, Fraction(1, 3))]
+    traces = 0
+    for seed, g in enumerate(sources):
+        for keep in list(_random_kept_sets(g, 12, seed=seed))[1::2]:
+            kept = sorted(keep)
+            red = schur_trace(g, [g.vertices[i] for i in kept])
+            dist = {a: g.distances_from(g.vertices[a]) for a in kept}
+            triples = [
+                (x, y, 1 / dist[a][b])
+                for x, a in enumerate(kept)
+                for y, b in enumerate(kept)
+                if x < y and not any(dist[a][c] + dist[c][b] == dist[a][b] for c in kept if c not in (a, b))
+            ]
+            _assert_packed_as(red, triples)
+            traces += 1
+    assert traces == 18
+
+
+def test_ball_graph_memory():
+    """`ball_graph(5, 10)`, the largest graph of a ball-experiments pass, holds at most 8 MB
+    and adds fewer than 1,000 objects the garbage collector tracks."""
+    ball_graph(5, 6)  # the module's caches are made before measuring
+    gc.collect()
+    objects = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = ball_graph(5, 10)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(g.vertices) == 33_453
+    assert held <= 8 * 2**20, held
+    assert len(gc.get_objects()) - objects < 1_000

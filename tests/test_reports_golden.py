@@ -6,12 +6,15 @@ ball-experiment digests were recorded from commit be9b6fe, before
 conductances and cell measures came from digit-count tables and before
 cells kept their corner vertex ids.  The two `doubling` digests were
 recorded from commit 8fcf9a2, before `measure_ball_bounds` descended in
-integer arithmetic.  A refactor of those paths that moves one bit of a
+integer arithmetic.  The two `graph` and two `resistance` digests were
+recorded from commit 35622fa, before networks stored their adjacency as
+packed half-edge arrays.  A refactor of those paths that moves one bit of a
 report fails here.  Together the reports cover the float cell sums of
 `weh_ratio`, the lumped masses of the exit-time solve, the extrema of
 `ehi`, the exact ball-measure bounds of a level network, and the exact
 doubling bounds of `measure_ball_bounds` at s0 = 1/2 and at s0 = 1/3
-with a radius that is not dyadic.
+with a radius that is not dyadic, the JSON edge order of a level network,
+and the net current of an exact and a float resistance.
 """
 
 import contextlib
@@ -35,6 +38,14 @@ GOLDEN = {
         "e4e36b8950ed27bdd6c79dca63f5a74dd517320d980c0a2a44274798b159634a",
     "--s0 1/3 doubling --n 2..3 --radius 3/7":
         "6b08452a6078c0c289649646f2d7dd540e18fe438d73bb78b9c9ac4f8af8043d",
+    "graph --level 3":
+        "be344e833af24dec531e33f59bf7b466012f8bce8ab2dd73f04ddfbf5096c35a",
+    "--s0 1/3 graph --level 2":
+        "fd3c9f45a0ce2b3686661850db1184401b4a48bf87b694f515b737bb0877e2f2",
+    "resistance --from 2:1 --to=-:2 --level 6":
+        "de7e55cd172f2065828bdd6c2015c5e92fdd6271ab1bd0f30a5e15104e64678d",
+    "--s0 1/3 resistance --from 2:1 --to=-:2 --level 6 --float":
+        "701ced92f37ad314a23adba147b0f04aaad7a6e5e58fb189482a3a7fc2500b5f",
 }
 
 
