@@ -33,8 +33,8 @@ def _pack(n: int, tails: Sequence[int], heads: Sequence[int], kind: Sequence[int
 
     Each edge gives two integer keys (v n + u) kinds + kind, one per end v,
     and one sort of them lists every vertex's half-edges by ascending
-    neighbour id u: the order that filling neighbour lists from the sorted
-    (i, j) edges gave, so walks and float sums keep their order.
+    neighbour id u.  That is the sorted (i, j) edge order `Network.edges`
+    reads back, and the order that walks and float sums follow.
     """
     from array import array  # a local import: see build_cells_graph
 
