@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -177,6 +178,21 @@ def _write_report(path, cfg: RunConfig, header: list[str], rows: list[list]) -> 
     return text
 
 
+def _summary_json(summary) -> str:
+    """A summary as strict JSON: a float that is not finite (the slope of a single n) is null."""
+
+    def strict(x):
+        if isinstance(x, float) and not math.isfinite(x):
+            return None
+        if isinstance(x, dict):
+            return {k: strict(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [strict(v) for v in x]
+        return x
+
+    return json.dumps(strict(summary), sort_keys=True, allow_nan=False)
+
+
 def _fmt(x) -> str:
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
@@ -285,8 +301,7 @@ def cmd_exit_ratio(args, cfg: RunConfig) -> int:
     rows, slope, stderr = exit_ratio_experiment(n_values, cfg.weights, level_offset=args.level_offset)
     table = [[r.n, r.level, _fmt(r.inf_core), _fmt(r.sup_ball), _fmt(r.ratio)] for r in rows]
     _write_report(args.out, cfg, ["n", "level", "inf_core", "sup_ball", "ratio"], table)
-    summary = {"slope": slope, "stderr": stderr, "n_range": [min(n_values), max(n_values)]}
-    text = json.dumps(summary, sort_keys=True)
+    text = _summary_json({"slope": slope, "stderr": stderr, "n_range": [min(n_values), max(n_values)]})
     if args.summary:
         with open(args.summary, "w") as fh:
             fh.write(text + "\n")
@@ -305,7 +320,7 @@ def cmd_ehi(args, cfg: RunConfig) -> int:
         for r in rows
     ]
     _write_report(args.out, cfg, ["n", "level", "k", "epsilon", "inf", "sup", "ratio", "model"], table)
-    print(json.dumps({"slope": slope, "stderr": stderr}, sort_keys=True))
+    print(_summary_json({"slope": slope, "stderr": stderr}))
     return 0
 
 
@@ -333,7 +348,7 @@ def cmd_weh(args, cfg: RunConfig) -> int:
          "growth_range": row["growth_range"]}
         for row in scan
     ]
-    print(json.dumps(summary, sort_keys=True))
+    print(_summary_json(summary))
     return 0
 
 

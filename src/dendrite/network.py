@@ -183,13 +183,15 @@ class Network:
 class LevelGraph(Network):
     """Tree network of level-L cells, two edges per cell.
 
-    Cell k is `words[k]`; its corners F_w(q1), F_w(q2), F_w(q3) are the
-    vertex ids `corners[3k:3k+3]`, and `s0_digits[k]` counts the digits
-    of its word in {0,1}, which fixes its conductance and its measure.
-    Its edges q1-q2 and q1-q3 are the half-edges of kind a =
-    `s0_digits[k]`, and `conds[a]` = s0^-a (1-s0)^-(L-a) for a = 0..L.
-    Vertex ids follow the order (word length, word, corner).  The unit
-    is q^L for s0 = p/q.
+    Cell k is `words[k]`, the level-L words in sorted order: a shorter
+    word given to `build_cells_graph` stands for all of its level-L
+    subcells, and each of them is listed.  The corners F_w(q1), F_w(q2),
+    F_w(q3) of cell k are the vertex ids `corners[3k:3k+3]`, and
+    `s0_digits[k]` counts the digits of its word in {0,1}, which fixes
+    its conductance and its measure.  Its edges q1-q2 and q1-q3 are the
+    half-edges of kind a = `s0_digits[k]`, one byte each, and `conds[a]`
+    = s0^-a (1-s0)^-(L-a) for a = 0..L.  Vertex ids follow the order
+    (word length, word, corner).  The unit is q^L for s0 = p/q.
     """
 
     level: int
@@ -217,70 +219,261 @@ def word_conductance(word: str, s0: Fraction) -> Fraction:
     return 1 / (s0**a * (1 - s0) ** (len(word) - a))
 
 
-def _sorted_ids(vertices: list[Vertex], raw_corners: Sequence[int], level: int) -> tuple[list[Vertex], Sequence[int]]:
-    """The vertices in the order (word length, word, corner), and the corner ids renumbered to match."""
+@dataclass
+class _Template:
+    """The graph of all level-`depth` cells under one root word, labelled relative to it.
+
+    Ids follow the order (word length, word, corner): ids 0-2 are the
+    root's corners ("", 1), ("", 2), ("", 3), and the ids of label length
+    l run from `starts[l]` to `starts[l + 1]`.  `labels` holds the labels
+    of the ids below `starts[depth]`; the last block's words are the cell
+    words, so it is kept as codes k << 2 | corner, k the cell, in `top`.
+    The half-edge arrays, `corners` and `digits` are a `LevelGraph`'s,
+    with kinds and digit counts relative to the root; `degree` holds each
+    id's half-edge count, and `corner_edges` the (id, neighbour, kind) of
+    the corners' half-edges.  `listed` holds (id, m) per interior id with
+    m >= 2 of the corners as neighbours: the only half-edge lists that a
+    stamp can put out of order.
+    """
+
+    depth: int
+    labels: list
+    top: list[int]
+    starts: list[int]
+    offsets: Sequence[int]
+    nbrs: Sequence[int]
+    kind: bytes
+    degree: Sequence[int]
+    corners: Sequence[int]
+    digits: bytes
+    corner_edges: list[tuple[int, int, int]]
+    listed: list[tuple[int, int]]
+
+
+def _stamp(stamps: list[tuple[str, _Template]], cells: Optional[list[str]]):
+    """The graph of the cells under the sorted, disjoint words p of `stamps`, each with its template.
+
+    A stamp relabels its template's vertex (x, c) as (p x, c), which is in
+    normal form for a nonempty x; its corners ("", c) become the normal
+    forms of F_p(q_c), the junctions where stamps meet.  A template's
+    block of length l lands at length |p| + l, in one piece, and within a
+    length the pieces of different stamps come in word order, so ids come
+    from sorting one key per piece and junction, not per vertex.  An
+    interior vertex keeps its half-edge order, but for its neighbours
+    among the stamp's corners (`_Template.listed`); a junction's
+    half-edges are gathered from every stamp that touches it and sorted.
+    Kinds and digit counts add the digits of p in {0,1}.
+
+    With `cells`, the words of all cells stamp after stamp, the labels of
+    the top length are (cell word, corner), sharing the cell's string;
+    with None they are `_Template.top` codes.  Returns the labels, the top
+    codes, the length starts, offsets, nbrs, kind, degree, corners and
+    digits.
+    """
     from array import array  # a local import: see build_cells_graph
 
-    # one integer per vertex, len(word) | word in base 4 | corner: words of one
-    # length compare as their base-4 values, and every word has at most `level` digits
-    shift = 2 * level + 2
-    keys = [len(word) << shift | int(word or "0", 4) << 2 | corner for word, corner in vertices]
-    order = sorted(range(len(vertices)), key=keys.__getitem__)
-    remap = [0] * len(vertices)
-    for new, old in enumerate(order):
-        remap[old] = new
-    return [vertices[old] for old in order], array("i", map(remap.__getitem__, raw_corners))
+    pieces: dict[tuple, object] = {}  # sort key -> junction label, or stamp number for a block
+    junctions = []
+    top = 0
+    for s, (p, t) in enumerate(stamps):
+        # the normal forms of F_p(q1), F_p(q2), F_p(q3), by `canonicalize`'s
+        # rule: strip the digits that fix the corner, then rewrite
+        # F_{k0}(q2) = F_{k2}(q1) and F_{k1}(q3) = F_{k3}(q1)
+        t2, t3 = p.rstrip("2"), p.rstrip("3")
+        corner_labels = (
+            (p.rstrip("01"), 1),
+            (t2[:-1] + "2", 1) if t2.endswith("0") else (t2, 2),
+            (t3[:-1] + "3", 1) if t3.endswith("1") else (t3, 3),
+        )
+        junctions.append(corner_labels)
+        for v in corner_labels:
+            pieces[len(v[0]), v[0], v[1]] = v
+        # a block's words extend p, and a junction's do not, so (length, p) sorts
+        # the whole block against every junction and every other block
+        for length in range(len(p) + 1, len(p) + t.depth + 1):
+            pieces[length, p] = s
+        top = max(top, len(p) + t.depth)
+    order = sorted(pieces)
+
+    first: dict[tuple, int] = {}  # sort key -> the first id of its piece
+    starts: list[int] = []
+    n = 0
+    for key in order:
+        starts += [n] * (key[0] + 1 - len(starts))
+        first[key] = n
+        if len(key) == 3:
+            n += 1
+        else:
+            p, t = stamps[pieces[key]]
+            b = key[0] - len(p)
+            n += t.starts[b + 1] - t.starts[b]
+    starts.append(n)
+
+    tables = []  # per stamp, the id of each template id
+    shifts: list[bytes] = []
+    # per digit count a <= top in {0,1}: the `bytes.translate` table that adds a to a kind
+    shift_by = [bytes(range(a, 256)) + bytes(a) for a in range(top + 1)]
+    jkeys: list[int] = []  # the junctions' half-edges, as (id n + neighbour) << 8 | kind
+    corners: list[int] = []
+    digits = []
+    for s, (p, t) in enumerate(stamps):
+        table = [first[len(w), w, c] for w, c in junctions[s]]
+        for b in range(1, t.depth + 1):
+            i = first[len(p) + b, p]
+            table += range(i, i + t.starts[b + 1] - t.starts[b])
+        tables.append(table)
+        shift = shift_by[p.count("0") + p.count("1")]
+        shifts.append(shift)
+        jkeys += [(table[i] * n + table[j]) << 8 | shift[k] for i, j, k in t.corner_edges]
+        corners += [table[j] for j in t.corners]
+        digits.append(t.digits.translate(shift))
+    jkeys.sort()
+    jdegree = Counter([(key >> 8) // n for key in jkeys])
+    jnbrs = [(key >> 8) % n for key in jkeys]
+    jkind = bytes([key & 255 for key in jkeys])
+
+    labels: list = []
+    codes: list[int] = []
+    out = codes if cells is None else labels  # where top-length labels go
+    cell_base = list(accumulate((len(t.digits) for _, t in stamps), initial=0))
+    nbrs: list[int] = []
+    kind, degree = bytearray(), array("i")
+    i = done = waiting = 0  # the next id; the junction half-edges placed, and those still to place
+    for key in order:
+        piece = pieces[key]
+        if len(key) == 3:
+            if key[0] != top:
+                labels.append(piece)
+            else:  # in a template, every word of the top length is a cell's, cell k the base-4 value
+                out.append(piece if cells is not None else int(piece[0], 4) << 2 | piece[1])
+            degree.append(jdegree[i])
+            waiting += jdegree[i]
+            i += 1
+            continue
+        # the half-edges of the junctions since the last block, then the block's
+        nbrs += jnbrs[done : done + waiting]
+        kind += jkind[done : done + waiting]
+        done, waiting = done + waiting, 0
+        p, t = stamps[piece]
+        b = key[0] - len(p)
+        lo, hi = t.starts[b], t.starts[b + 1]
+        if b < t.depth:
+            labels += [(p + x, c) for x, c in t.labels[lo:hi]]
+        elif cells is None:
+            shift = cell_base[piece] << 2
+            codes += [v + shift for v in t.top]
+        else:
+            base = cell_base[piece]
+            labels += [(cells[base + (v >> 2)], v & 3) for v in t.top]
+        ha, hb = t.offsets[lo], t.offsets[hi]
+        table = tables[piece]
+        nbrs += [table[j] for j in t.nbrs[ha:hb]]
+        kind += t.kind[ha:hb].translate(shifts[piece])
+        degree += t.degree[lo:hi]
+        i += hi - lo
+    nbrs += jnbrs[done:]
+    kind += jkind[done:]
+    offsets = array("i", accumulate(degree, initial=0))
+
+    # the listed vertices' neighbours among the corners, back into id order
+    # where the stamp's corners are not
+    for (_, t), table in zip(stamps, tables):
+        if table[0] < table[1] < table[2]:
+            continue
+        for v, m in t.listed:
+            h = offsets[table[v]]
+            pairs = sorted(zip(nbrs[h : h + m], kind[h : h + m]))
+            nbrs[h : h + m] = [j for j, _ in pairs]
+            kind[h : h + m] = bytes([k for _, k in pairs])
+    return labels, codes, starts, offsets, array("i", nbrs), bytes(kind), degree, array("i", corners), b"".join(digits)
+
+
+def _templates(depth: int) -> list[_Template]:
+    """T_0 .. T_depth: T_0 is one cell, and T_d is T_(d-1) stamped at 0, 1, 2 and 3."""
+    from array import array  # a local import: see build_cells_graph
+
+    # one cell: its q1 (id 0) is joined to its q2 and q3 by edges of kind 0
+    edges = [(0, 1, 0), (0, 2, 0), (1, 0, 0), (2, 0, 0)]
+    out = [_Template(0, [], [1, 2, 3], [0, 3], array("i", [0, 2, 3, 4]), array("i", [1, 2, 0, 0]),
+                     bytes(4), array("i", [2, 1, 1]), array("i", [0, 1, 2]), bytes(1), edges, [])]
+    while len(out) <= depth:
+        labels, top, starts, offsets, nbrs, kind, degree, corners, digits = _stamp([(d, out[-1]) for d in "0123"], None)
+        edges = [(i, nbrs[h], kind[h]) for i in range(3) for h in range(offsets[i], offsets[i + 1])]
+        # the interior ids next to two or more corners
+        hits = Counter(j for _, j, _ in edges if j >= 3)
+        listed = [(v, m) for v, m in hits.items() if m >= 2]
+        out.append(_Template(len(out), labels, top, starts, offsets, nbrs, kind, degree, corners, digits, edges, listed))
+    return out
+
+
+def _expand(words: Sequence[str], level: int) -> list[str]:
+    """The level-`level` cell words under each of `words`, in order."""
+    tails = {depth: list(words_of_length(depth)) for depth in sorted({level - len(w) for w in words})}
+    return [w + tail for w in words for tail in tails[level - len(w)]]
 
 
 def build_cells_graph(words: Iterable[str], s0: Fraction, level: int) -> LevelGraph:
-    """Graph induced by a set of level-`level` cells (two edges per cell)."""
+    """Graph induced by a set of cells at level `level` (two edges per level cell).
+
+    A word of length at most `level` stands for all of its level-`level`
+    subcells, which `words` of the graph lists.  The words are taken
+    sorted, duplicates merged, and must be disjoint: no word may extend
+    another.  An empty set, a word longer than `level` or two nested
+    words raise `ValueError`.
+
+    Each word w is a stamp of the template of depth `level` - |w| (see
+    `_stamp`); the words of the greatest depth are split into their four
+    children, so the largest template is never built only to be stamped
+    once.  The templates live for this call.
+    """
     s0 = Fraction(s0)
     if not 0 < s0 < 1:
         raise ValueError("s0 must lie strictly between 0 and 1")
-    words = tuple(sorted(set(words)))
-    raw_index: dict[Vertex, int] = {}  # ids in first-touch order
+    if level > 255:
+        raise CapacityError(f"cell graphs are capped at level 255 (kinds are bytes), got {level}")
+    leaves = sorted(set(words))
+    if not leaves:
+        raise ValueError("the cell set is empty")
+    for w in leaves:
+        check_word(w)
+        if len(w) > level:
+            raise ValueError(f"word {w!r} is longer than level {level}")
+    for a, b in zip(leaves, leaves[1:]):
+        if b.startswith(a):
+            raise ValueError(f"words {a!r} and {b!r} are nested: cells must be disjoint")
 
     # a local import, so that runs that build no network (quadrature,
     # doubling) do not pay the extension module's 0.2 MB of resident memory
     from array import array
 
-    raw_corners = array("i")
-    s0_digits = bytearray()
-    for w in words:
-        if len(w) != level:
-            raise ValueError(f"word {w!r} does not have length {level}")
-        check_word(w)
-        s0_digits.append(w.count("0") + w.count("1"))
-        # the normal forms of F_w(q1), F_w(q2), F_w(q3), by `canonicalize`'s
-        # rule: strip the digits that fix the corner, then rewrite
-        # F_{k0}(q2) = F_{k2}(q1) and F_{k1}(q3) = F_{k3}(q1)
-        t2, t3 = w.rstrip("2"), w.rstrip("3")
-        raw_corners.extend((
-            raw_index.setdefault((w.rstrip("01"), 1), len(raw_index)),
-            raw_index.setdefault((t2[:-1] + "2", 1) if t2.endswith("0") else (t2, 2), len(raw_index)),
-            raw_index.setdefault((t3[:-1] + "3", 1) if t3.endswith("1") else (t3, 3), len(raw_index)),
-        ))
-    # renumber in deterministic vertex order, and free the first-touch index
-    # before the half-edge keys are made: they are the build's peak
-    vertices, corners = _sorted_ids(list(raw_index), raw_corners, level)
-    del raw_index
+    cells = _expand(leaves, level)
+    depth = level - min(map(len, leaves))
+    stamps, k = [], 0
+    for w in leaves:
+        for p in [w + d for d in "0123"] if level - len(w) == depth > 0 else [w]:
+            e = level - len(p)
+            # a single cell stamps its word's string, which its corner labels share where rstrip keeps it
+            stamps.append((cells[k] if e == 0 else p, e))
+            k += 4**e
+    templates = _templates(max(depth - 1, 0))
+    vertices, _, _, offsets, nbrs, kind, _, corners, digits = _stamp([(p, templates[e]) for p, e in stamps], cells)
+    del templates, stamps  # freed before the index is made: it is the build's peak
     # cells with a digits in {0,1} share one conductance, of kind a
     conds = tuple(word_conductance("0" * a + "2" * (level - a), s0) for a in range(level + 1))
-    q1 = corners[0::3]
-    packed = _pack(len(vertices), q1 + q1, corners[1::3] + corners[2::3], s0_digits + s0_digits, level + 1)
-    index = {v: i for i, v in enumerate(vertices)}
-    return LevelGraph(vertices, index, *packed, conds, s0.denominator**level, level, s0, words, corners, bytes(s0_digits))
+    index = dict(zip(vertices, range(len(vertices))))
+    return LevelGraph(vertices, index, offsets, nbrs, array("B", kind), conds, s0.denominator**level, level, s0,
+                      tuple(cells), corners, digits)
 
 
 def build_level_graph(level: int, s0: Fraction = Fraction(1, 2)) -> LevelGraph:
-    """The full level-L network on 2*4^L + 1 vertices."""
+    """The full level-L network on 2*4^L + 1 vertices: the cells under the empty word."""
     if level < 0:
         raise ValueError("level must be non-negative")
     if level > 9:
         # 4^10 cells is already ~2M vertices; full graphs beyond that are
         # never needed (ball subgraphs and network reductions cover big L)
         raise CapacityError(f"full graphs are capped at level 9, got {level}")
-    return build_cells_graph(words_of_length(level), s0, level)
+    return build_cells_graph([""], s0, level)
 
 
 # farthest distance from F_w(q1), F_w(q2), F_w(q3) to a point of K_w, in units of s_w
@@ -419,16 +612,24 @@ class _BallCover:
         return out
 
 
-def ball_cell_words(center: Vertex, radius: Fraction, level: int) -> list[str]:
-    """Level-`level` cells that meet the open ball B(center, radius) (s0 = 1/2)."""
-    # fold to the leaves' word suffixes and expand each leaf at the end, so the
-    # memo holds no level words; a leaf's word length is its depth
+def _ball_leaves(center: Vertex, radius: Fraction, level: int) -> list[str]:
+    """The cover's cells that meet the open ball B(center, radius) down to `level` (s0 = 1/2), sorted.
+
+    `_BallCover.cells` lists them in chain order; sorted, they are the
+    disjoint words that `build_cells_graph` takes.
+    """
+    # fold to the leaves' word suffixes, so the memo holds no words; a
+    # leaf's word length is its depth
     cells = _BallCover(center, radius, level, _half_metric()).fold(
         lambda depth, inside: [""],
         lambda kids: [digit + suffix for digit, _, below in kids for suffix in below],
     )
-    leaves = [word + suffix for word, _, below in cells for suffix in below]
-    return [leaf + tail for leaf in leaves for tail in words_of_length(level - len(leaf))]
+    return sorted(word + suffix for word, _, below in cells for suffix in below)
+
+
+def ball_cell_words(center: Vertex, radius: Fraction, level: int) -> list[str]:
+    """Level-`level` cells that meet the open ball B(center, radius) (s0 = 1/2), sorted."""
+    return _expand(_ball_leaves(center, radius, level), level)
 
 
 @dataclass
@@ -511,12 +712,17 @@ def ball(graph: LevelGraph, center: Vertex, radius: Fraction) -> BallRegion:
 
 
 def ball_graph(n: int, level: int) -> LevelGraph:
-    """Subgraph covering B(q0, 2^-n) at the given level, s0 = 1/2 (much smaller than the full graph)."""
+    """Subgraph covering B(q0, 2^-n) at the given level, s0 = 1/2 (much smaller than the full graph).
+
+    It is built from the ball cover's leaves, each word standing for its
+    level subcells, so `words` holds the same level cells as
+    `ball_cell_words`.
+    """
     if n < 1:
         raise ValueError("ball index n must be >= 1")
     if level < n + 1:
         raise ValueError(f"level {level} too small for ball index {n}")
-    return build_cells_graph(ball_cell_words(Q0, Fraction(1, 2**n), level), Fraction(1, 2), level)
+    return build_cells_graph(_ball_leaves(Q0, Fraction(1, 2**n), level), Fraction(1, 2), level)
 
 
 def schur_trace(graph: Network, keep: Sequence[Vertex]) -> Network:

@@ -481,6 +481,29 @@ def test_config_file_with_unread_keys_loads(tmp_path):
     )
 
 
+def _strict_json(text):
+    """Parse JSON as strict parsers do: NaN and Infinity are not JSON."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("n_range", ["2..2", "2..3"])
+@pytest.mark.parametrize("command", ["exit-ratio", "ehi", "weh"])
+def test_summaries_are_strict_json(capsys, command, n_range):
+    """A slope needs two n; with one, the summary says null, not NaN."""
+    offset = ["--level-offset", "2"] if command == "exit-ratio" else []
+    assert cli.main([command, "--n", n_range, *offset]) == 0
+    summary = _strict_json(capsys.readouterr().out.splitlines()[-1])
+    rows = summary if command == "weh" else [summary]
+    key = "growth_per_n" if command == "weh" else "slope"
+    assert all((row[key] is None) == (n_range == "2..2") for row in rows)
+    if command != "weh":
+        assert (summary["stderr"] is None) == (n_range == "2..2")
+
+
 def test_ball_summary():
     out = run_cli("ball", "--n", "1", "--level", "5")
     assert "interior" in out.stdout and out.returncode == 0

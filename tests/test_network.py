@@ -1,18 +1,23 @@
 import gc
 import random
 import tracemalloc
+from array import array
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 import pytest
 
-from dendrite.addressing import canonicalize, in_cell, words_of_length
+from dendrite.addressing import canonicalize, check_word, in_cell, words_of_length
 from dendrite.dirichlet import VertexFunction
 from dendrite.harnack import extrema_over_subball
 from dendrite.measure import WeightVector, ball_measure, cell_measure, classify_region_cells
 from dendrite.metric import Metric
+from dendrite import network
 from dendrite.network import (
     CapacityError,
+    LevelGraph,
     Network,
     ball,
     ball_cell_words,
@@ -426,6 +431,26 @@ def test_build_refuses_a_word_off_the_alphabet(word):
         build_cells_graph(["00", word], HALF, 2)
 
 
+@pytest.mark.parametrize(
+    "words, level, message",
+    [([], 2, "empty"), ((w for w in ()), 0, "empty"), (["00", "012"], 2, "'012' is longer than level 2"),
+     (["1"], 0, "'1' is longer than level 0"),
+     (["0", "01"], 2, "'0' and '01' are nested"), (["", "3"], 1, "'' and '3' are nested"),
+     (["01", "2", "013"], 3, "'01' and '013' are nested")],
+)
+def test_build_refuses_a_cell_set_that_is_empty_too_deep_or_nested(words, level, message):
+    with pytest.raises(ValueError, match=message):
+        build_cells_graph(words, HALF, level)
+
+
+def test_build_merges_duplicates_and_takes_words_in_any_order():
+    want = build_cells_graph(["0", "21", "3"], HALF, 3)
+    got = build_cells_graph(["3", "21", "0", "3", "21"], HALF, 3)
+    assert got.words == want.words and got.vertices == want.vertices and got.nbrs == want.nbrs
+    # a short word stands for all of its level subcells
+    assert got.words == tuple(w for w in words_of_length(3) if w[0] in "03" or w[:2] == "21")
+
+
 def _neighbours(g):
     """Each id's neighbour ids, read off `g.adj` once: each `adj[i]` builds its list anew."""
     return [[j for j, _ in g.adj[i]] for i in range(len(g.vertices))]
@@ -624,3 +649,123 @@ def test_ball_graph_memory():
     assert len(g.vertices) == 33_453
     assert held <= 8 * 2**20, held
     assert len(gc.get_objects()) - objects < 1_000
+
+
+def _reference_pack(n, tails, heads, kind, kinds):
+    """Oracle: the half-edge arrays of the per-word build, from one sort of integer edge keys."""
+    keys = [(i * n + j) * kinds + k for i, j, k in zip(tails, heads, kind)]
+    keys += [(j * n + i) * kinds + k for i, j, k in zip(tails, heads, kind)]
+    keys.sort()
+    degree = Counter(tails)
+    degree.update(heads)
+    offsets = array("i", accumulate(map(degree.__getitem__, range(n)), initial=0))
+    return offsets, array("i", [key // kinds % n for key in keys]), array("i", [key % kinds for key in keys])
+
+
+def _reference_sorted_ids(vertices, raw_corners, level):
+    """Oracle: the vertices sorted by (word length, word, corner), and the corner ids renumbered."""
+    shift = 2 * level + 2
+    keys = [len(word) << shift | int(word or "0", 4) << 2 | corner for word, corner in vertices]
+    order = sorted(range(len(vertices)), key=keys.__getitem__)
+    remap = [0] * len(vertices)
+    for new, old in enumerate(order):
+        remap[old] = new
+    return [vertices[old] for old in order], array("i", map(remap.__getitem__, raw_corners))
+
+
+def _reference_build(words, s0, level):
+    """Oracle: the per-word build that stamping replaced; every word has length `level`.
+
+    Each word writes the normal forms of its three corners, ids come from
+    sorting every vertex, and the half-edges from sorting every edge key.
+    """
+    s0 = Fraction(s0)
+    words = tuple(sorted(set(words)))
+    raw_index = {}
+    raw_corners = array("i")
+    s0_digits = bytearray()
+    for w in words:
+        assert len(w) == level
+        check_word(w)
+        s0_digits.append(w.count("0") + w.count("1"))
+        t2, t3 = w.rstrip("2"), w.rstrip("3")
+        raw_corners.extend((
+            raw_index.setdefault((w.rstrip("01"), 1), len(raw_index)),
+            raw_index.setdefault((t2[:-1] + "2", 1) if t2.endswith("0") else (t2, 2), len(raw_index)),
+            raw_index.setdefault((t3[:-1] + "3", 1) if t3.endswith("1") else (t3, 3), len(raw_index)),
+        ))
+    vertices, corners = _reference_sorted_ids(list(raw_index), raw_corners, level)
+    conds = tuple(word_conductance("0" * a + "2" * (level - a), s0) for a in range(level + 1))
+    q1 = corners[0::3]
+    packed = _reference_pack(len(vertices), q1 + q1, corners[1::3] + corners[2::3], s0_digits + s0_digits, level + 1)
+    index = {v: i for i, v in enumerate(vertices)}
+    return LevelGraph(vertices, index, *packed, conds, s0.denominator**level, level, s0, words, corners, bytes(s0_digits))
+
+
+_BUILD_FIELDS = ("vertices", "index", "offsets", "nbrs", "kind", "words", "corners", "s0_digits", "conds", "unit", "level", "s0")
+
+
+def _assert_same_build(got, want):
+    for field in _BUILD_FIELDS:
+        assert getattr(got, field) == getattr(want, field), field
+
+
+def _random_cover(rng, level):
+    """Seeded disjoint words of mixed lengths <= level: the root split at random, a fifth of the parts dropped."""
+    words, todo = [], [""]
+    while todo:
+        w = todo.pop()
+        if len(w) == level or (w and rng.random() < 0.4):
+            if rng.random() < 0.8:
+                words.append(w)
+        else:
+            todo += [w + d for d in "0123"]
+    return words or ["0" * level]
+
+
+def test_stamped_builds_match_the_per_word_reference():
+    """Every field of the stamped build equals the per-word build's, on full graphs, balls and covers."""
+    rng = random.Random(2222)
+    expand = network._expand
+    for s0 in (HALF, Fraction(1, 3), Fraction(2, 5)):
+        for level in range(7):
+            _assert_same_build(build_level_graph(level, s0), _reference_build(words_of_length(level), s0, level))
+    balls = [(n, n + k) for n in range(1, 6) for k in (4, 5)] + [(1, 8)]
+    for n, level in balls:
+        want = _reference_build(ball_cell_words(Q0, Fraction(1, 2**n), level), HALF, level)
+        _assert_same_build(ball_graph(n, level), want)
+    for _ in range(40):
+        level = rng.randint(2, 6)
+        full = build_level_graph(level)
+        center = full.vertices[rng.randrange(len(full.vertices))]
+        radius = Fraction(rng.randint(1, 40), rng.randint(2, 97))
+        leaves = network._ball_leaves(center, radius, level)
+        _assert_same_build(build_cells_graph(leaves, HALF, level), _reference_build(expand(leaves, level), HALF, level))
+    for _ in range(100):
+        level, s0 = rng.randint(0, 6), rng.choice((HALF, Fraction(1, 3), Fraction(2, 5)))
+        cover = _random_cover(rng, level)
+        _assert_same_build(build_cells_graph(cover, s0, level), _reference_build(expand(cover, level), s0, level))
+    for _ in range(20):
+        level = rng.randint(1, 4)
+        words = list(words_of_length(level))
+        subset = rng.sample(words, rng.randint(1, len(words)))
+        _assert_same_build(build_cells_graph(subset, HALF, level), _reference_build(subset, HALF, level))
+
+
+@pytest.mark.parametrize(
+    "build, ceiling_mb",
+    [(lambda: ball_graph(5, 10), 13), (lambda: ball_graph(1, 8), 17.5), (lambda: build_level_graph(7), 12.5)],
+    ids=["ball_graph(5, 10)", "ball_graph(1, 8)", "build_level_graph(7)"],
+)
+def test_build_peak_memory(build, ceiling_mb):
+    """The build's tracemalloc peak stays under the per-word build's (12.7, 17.4 and 12.4 MB)."""
+    ball_graph(5, 6)  # the module's caches are made before measuring
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= ceiling_mb * 2**20, peak
