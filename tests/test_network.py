@@ -9,12 +9,12 @@ from math import lcm
 
 import pytest
 
+from dendrite import network
 from dendrite.addressing import canonicalize, check_word, in_cell, words_of_length
 from dendrite.dirichlet import VertexFunction
 from dendrite.harnack import extrema_over_subball
 from dendrite.measure import WeightVector, ball_measure, cell_measure, classify_region_cells
 from dendrite.metric import Metric
-from dendrite import network
 from dendrite.network import (
     CapacityError,
     LevelGraph,
