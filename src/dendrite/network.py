@@ -421,10 +421,11 @@ def build_cells_graph(words: Iterable[str], s0: Fraction, level: int) -> LevelGr
     another.  An empty set, a word longer than `level` or two nested
     words raise `ValueError`.
 
-    Each word w is a stamp of the template of depth `level` - |w| (see
-    `_stamp`); the words of the greatest depth are split into their four
-    children, so the largest template is never built only to be stamped
-    once.  The templates live for this call.
+    Four sibling words merge into their parent, and then each word w is
+    a stamp of the template of depth `level` - |w| (see `_stamp`); the
+    words of the greatest depth are split into their four children, so
+    the largest template is never built only to be stamped once.  The
+    templates live for this call.
     """
     s0 = Fraction(s0)
     if not 0 < s0 < 1:
@@ -446,6 +447,14 @@ def build_cells_graph(words: Iterable[str], s0: Fraction, level: int) -> LevelGr
     # doubling) do not pay the extension module's 0.2 MB of resident memory
     from array import array
 
+    # four sibling words stand for their parent, so each stamp is as large as the set allows;
+    # sorted disjoint words list a complete sibling group together
+    stamped: list[str] = []
+    for w in leaves:
+        stamped.append(w)
+        while stamped[-1].endswith("3") and stamped[-4:] == [stamped[-1][:-1] + d for d in "0123"]:
+            stamped[-4:] = [stamped[-1][:-1]]
+    leaves = stamped
     cells = _expand(leaves, level)
     depth = level - min(map(len, leaves))
     stamps, k = [], 0

@@ -443,12 +443,15 @@ def test_build_refuses_a_cell_set_that_is_empty_too_deep_or_nested(words, level,
         build_cells_graph(words, HALF, level)
 
 
-def test_build_merges_duplicates_and_takes_words_in_any_order():
+def test_build_merges_duplicates_and_sibling_cells_and_takes_words_in_any_order():
     want = build_cells_graph(["0", "21", "3"], HALF, 3)
     got = build_cells_graph(["3", "21", "0", "3", "21"], HALF, 3)
     assert got.words == want.words and got.vertices == want.vertices and got.nbrs == want.nbrs
     # a short word stands for all of its level subcells
     assert got.words == tuple(w for w in words_of_length(3) if w[0] in "03" or w[:2] == "21")
+    siblings = build_cells_graph(["0", "210", "211", "212", "213", "3"], HALF, 3)
+    _assert_same_build(siblings, want)
+    _assert_same_build(build_cells_graph(words_of_length(3), Fraction(2, 5), 3), build_level_graph(3, Fraction(2, 5)))
 
 
 def _neighbours(g):
