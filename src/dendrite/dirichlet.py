@@ -10,9 +10,10 @@ mode runs the same direct algorithm in double precision for large levels.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Optional
 
 from .addressing import Vertex, canonicalize, vertex_str
 from .network import BallRegion, Network
@@ -35,10 +36,19 @@ def _cond_numbers(graph: Network, mode: str) -> Sequence:
     return graph.conds if mode == "exact" else [float(c) for c in graph.conds]
 
 
+def _by_id(graph: Network, data: Mapping[Vertex, object] | Sequence) -> Iterable[tuple[int, object]]:
+    """The (id, value) pairs of a label mapping, or of a sequence with one value per id."""
+    if isinstance(data, Mapping):
+        return [(graph.vertex_id(v), x) for v, x in data.items()]
+    if len(data) != len(graph.vertices):
+        raise ValueError(f"a per-id sequence needs {len(graph.vertices)} entries, got {len(data)}")
+    return enumerate(data)
+
+
 def solve_dirichlet(
     graph: Network,
-    pinned: Mapping[Vertex, object],
-    masses: Optional[Mapping[Vertex, object]] = None,
+    pinned: Mapping[Vertex, object] | Sequence,
+    masses: Optional[Mapping[Vertex, object] | Sequence] = None,
     mode: str = "exact",
 ) -> VertexFunction:
     """Energy minimiser among functions with the pinned values.
@@ -46,14 +56,16 @@ def solve_dirichlet(
     At every free vertex the solution satisfies the weighted-mean
     property, shifted by the vertex mass when `masses` is given (discrete
     Green problems).  Pinning every vertex returns the pinned data.
+    `pinned` and `masses` map labels to values, or hold one value per
+    vertex id; a value of None pins nothing or loads nothing.
     """
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
-    if not pinned:
-        raise ValueError("constraints must pin at least one vertex")
     number, conds = (Fraction if mode == "exact" else float), _cond_numbers(graph, mode)
     zero, one = number(0), number(1)
-    pin = {graph.vertex_id(v): number(val) for v, val in pinned.items()}
+    pin = {i: number(val) for i, val in _by_id(graph, pinned) if val is not None}
+    if not pin:
+        raise ValueError("constraints must pin at least one vertex")
     n = len(graph.vertices)
     load = [zero] * n
     # a vertex carries current when it has a load, a pinned neighbour or a
@@ -61,10 +73,10 @@ def solve_dirichlet(
     # alpha = 1, beta = 0 and simply takes its parent's value
     carries = [False] * n
     if masses:
-        for v, m in masses.items():
-            i = graph.vertex_id(v)
-            load[i] += number(m)
-            carries[i] = True
+        for i, m in _by_id(graph, masses):
+            if m is not None:
+                load[i] += number(m)
+                carries[i] = True
 
     # breadth-first over the free subgraph, `order` doubling as the queue; a
     # parent of None marks a vertex not yet reached, -1 a root.  Cycles through
@@ -191,29 +203,46 @@ def equilibrium_potential(graph: Network, x: Vertex, grounded, mode: str = "exac
 def solve_on_ball(
     region: BallRegion,
     boundary: Mapping[Vertex, object],
-    masses: Optional[Mapping[Vertex, object]] = None,
+    masses: Optional[Mapping[Vertex, object] | Sequence] = None,
     mode: str = "exact",
 ) -> VertexFunction:
-    """Dirichlet problem on an open ball, pinned to `boundary` (0 where unset) off the ball."""
-    cut = region.cut()  # the vertices off the ball lie at integer distance >= cut
-    pinned = {v: boundary.get(v, 0) for v, d in zip(region.graph.vertices, region.units) if d >= cut}
+    """Dirichlet problem on an open ball, pinned to `boundary` (0 where unset) off the ball.
+
+    `masses` is a label mapping or a per-id sequence, as `solve_dirichlet` takes it.
+    """
+    cut, units, index = region.cut(), region.units, region.graph.index
+    # the vertices off the ball lie at integer distance >= cut; an entry of
+    # `boundary` on the ball, or not a vertex label, pins nothing
+    pinned = [0 if d >= cut else None for d in units]
+    for v, val in boundary.items():
+        i = index.get(v)
+        if i is not None and units[i] >= cut:
+            pinned[i] = val
     return solve_dirichlet(region.graph, pinned, masses=masses, mode=mode)
 
 
 def green_g1(
     region: BallRegion,
-    masses: Mapping[Vertex, object],
+    masses: Mapping[Vertex, object] | Sequence,
     mode: str = "exact",
 ) -> VertexFunction:
-    """Discrete Green problem on a ball: zero on the frontier, Laplacian = mass inside."""
-    cut, vertex_id = region.cut(), region.graph.vertex_id
-    for v in masses:
-        try:
-            inside = region.units[vertex_id(v)] < cut
-        except KeyError:  # not in the graph
-            inside = False
-        if not inside:
-            raise ValueError(f"mass on non-interior vertex {vertex_str(v)}")
+    """Discrete Green problem on a ball: zero on the frontier, Laplacian = mass inside.
+
+    `masses` is a label mapping or a per-id sequence, as `solve_dirichlet` takes it.
+    """
+    cut, graph = region.cut(), region.graph
+    if isinstance(masses, Mapping):
+        for v in masses:
+            try:
+                inside = region.units[graph.vertex_id(v)] < cut
+            except KeyError:  # not in the graph
+                inside = False
+            if not inside:
+                raise ValueError(f"mass on non-interior vertex {vertex_str(v)}")
+    else:
+        for i, m in _by_id(graph, masses):
+            if m is not None and region.units[i] >= cut:
+                raise ValueError(f"mass on non-interior vertex {vertex_str(graph.vertices[i])}")
     # the graph is connected and the center inside, so the frontier is
     # empty exactly when no vertex lies off the ball
     if max(region.units) < cut:

@@ -44,8 +44,11 @@ def boundary_resistance(
     """
     region = q0_ball(n, level, graph)
     x = canonicalize(*x)
-    i = region.graph.index.get(x)
-    if i is None or region.units[i] >= region.cut():
+    try:
+        inside = region.units[region.graph.vertex_id(x)] < region.cut()
+    except KeyError:  # not in the graph
+        inside = False
+    if not inside:
         raise ValueError(f"{vertex_str(x)} is not interior to the ball")
     psi, r = equilibrium_potential(region.graph, x, region.frontier, mode=mode)
     return region, psi, r
@@ -53,12 +56,12 @@ def boundary_resistance(
 
 def _lumped_masses(
     w: WeightVector, region: BallRegion, value: Callable[[int, int], object]
-) -> dict[Vertex, object]:
-    """Ball mass lumped onto interior lattice points, corner-weighted by `harmonic_weights`.
+) -> dict[int, object]:
+    """Ball mass lumped onto interior lattice points, corner-weighted by `harmonic_weights`, by vertex id.
 
     Each vertex's share is summed as an integer s in the unit 1/(den P)
-    and handed over as `value(s, den * P)`; the vertices come in the
-    order the cells first touch them.
+    and handed over as `value(s, den * P)`; the ids come in the order the
+    cells first touch them.
     """
     graph = region.graph
     p = harmonic_weights(w, graph.s0)
@@ -75,13 +78,14 @@ def _lumped_masses(
             i = corners[3 * k + j]
             if units[i] < cut:  # an interior vertex
                 sums[i] = sums.get(i, 0) + share[j]
-    unit, vertices = den * P, graph.vertices
-    return {vertices[i]: value(s, unit) for i, s in sums.items()}
+    unit = den * P
+    return {i: value(s, unit) for i, s in sums.items()}
 
 
 def region_cell_masses(w: WeightVector, region: BallRegion) -> dict[Vertex, Fraction]:
     """Ball mass lumped onto interior lattice points, corner-weighted by `harmonic_weights`."""
-    return _lumped_masses(w, region, Fraction)
+    vertices = region.graph.vertices
+    return {vertices[i]: m for i, m in _lumped_masses(w, region, Fraction).items()}
 
 
 def exit_time_profile(
@@ -95,8 +99,10 @@ def exit_time_profile(
     region = q0_ball(n, level, graph)
     # a float solve reads s / unit: int / int rounds the exact quotient once,
     # as float(Fraction(s, unit)) does, and builds no Fraction
-    masses = _lumped_masses(w, region, operator.truediv if mode == "float" else Fraction)
-    g1 = green_g1(region, masses, mode=mode)
+    loads: list = [None] * len(region.units)
+    for i, m in _lumped_masses(w, region, operator.truediv if mode == "float" else Fraction).items():
+        loads[i] = m
+    g1 = green_g1(region, loads, mode=mode)
     return region, g1
 
 

@@ -11,9 +11,10 @@ small reduced networks of `reduction` are all instances of it.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import Counter
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from fractions import Fraction
 from itertools import accumulate
@@ -68,7 +69,8 @@ class Network:
 
     `vertices[i]` is the label of id i and `index` inverts it.  Labels
     are vertices in normal form, or names such as the grounded node
-    "GND".  The edges are stored once, as packed half-edges: the
+    "GND"; a network made from edges or by a trace stores them as a list
+    and a dict.  The edges are stored once, as packed half-edges: the
     half-edges of id i are h = offsets[i] .. offsets[i+1]-1, listed by
     ascending neighbour id `nbrs[h]`, and `conds[kind[h]]` is the
     conductance of h; `conds` is a short table, so no edge holds an
@@ -179,6 +181,47 @@ class Network:
         return [(self.vertices[i], self.vertices[j], c) for i, j, c in self.edges]
 
 
+class _Labels(Sequence):
+    """`LevelGraph.vertices`: the label (names[i], corner[i]) of each id i, made on read."""
+
+    def __init__(self, names: list[str], corner: bytes):
+        self._names, self._corner = names, corner
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __getitem__(self, i: int) -> Vertex:
+        return self._names[i], self._corner[i]
+
+    def __iter__(self):
+        return zip(self._names, self._corner)
+
+
+class _LabelIndex(Mapping):
+    """`LevelGraph.index`: a label's id, by bisecting the sorted `names` of its word length's ids."""
+
+    def __init__(self, names: list[str], corner: bytes, starts: Sequence[int]):
+        self._names, self._corner, self._starts = names, corner, starts
+
+    def __getitem__(self, v) -> int:
+        hash(v)  # an unhashable label raises TypeError, as in a dict
+        if isinstance(v, tuple) and len(v) == 2 and isinstance(v[0], str) and len(v[0]) + 1 < len(self._starts):
+            names, (word, c) = self._names, v
+            hi = self._starts[len(word) + 1]
+            i = bisect_left(names, word, self._starts[len(word)], hi)
+            while i < hi and names[i] == word:  # a word's ids list its corners in order
+                if self._corner[i] == c:
+                    return i
+                i += 1
+        raise KeyError(v)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __iter__(self):
+        return zip(self._names, self._corner)
+
+
 @dataclass
 class LevelGraph(Network):
     """Tree network of level-L cells, two edges per cell.
@@ -190,15 +233,29 @@ class LevelGraph(Network):
     `s0_digits[k]` counts the digits of its word in {0,1}, which fixes
     its conductance and its measure.  Its edges q1-q2 and q1-q3 are the
     half-edges of kind a = `s0_digits[k]`, one byte each, and `conds[a]`
-    = s0^-a (1-s0)^-(L-a) for a = 0..L.  Vertex ids follow the order
-    (word length, word, corner).  The unit is q^L for s0 = p/q.
+    = s0^-a (1-s0)^-(L-a) for a = 0..L.  The unit is q^L for s0 = p/q.
+
+    Vertex ids follow the order (word length, word, corner); those of
+    word length l run from `starts[l]` to `starts[l + 1]`.  Id i stores
+    its word `names[i]` (of length L, its cell's string in `words`) and
+    its corner byte `corner[i]`, and `vertices` and `index` are read-only
+    views of them, as `adj` and `edges` are of the half-edges.
     """
 
+    vertices: Sequence = field(init=False, repr=False, compare=False)
+    index: Mapping = field(init=False, repr=False, compare=False)
     level: int
     s0: Fraction
     words: tuple[str, ...]
     corners: Sequence[int]
     s0_digits: bytes
+    names: list[str]
+    corner: bytes
+    starts: list[int]
+
+    def __post_init__(self):
+        self.vertices = _Labels(self.names, self.corner)
+        self.index = _LabelIndex(self.names, self.corner, self.starts)
 
     def to_json(self) -> str:
         payload = {
@@ -225,9 +282,9 @@ class _Template:
 
     Ids follow the order (word length, word, corner): ids 0-2 are the
     root's corners ("", 1), ("", 2), ("", 3), and the ids of label length
-    l run from `starts[l]` to `starts[l + 1]`.  `labels` holds the labels
-    of the ids below `starts[depth]`; the last block's words are the cell
-    words, so it is kept as codes k << 2 | corner, k the cell, in `top`.
+    l run from `starts[l]` to `starts[l + 1]`.  `corner` holds each id's
+    corner and `names` the word of each id below `starts[depth]`; the last
+    block's words are the cell words, so it is kept as cell numbers in `top`.
     The half-edge arrays, `corners` and `digits` are a `LevelGraph`'s,
     with kinds and digit counts relative to the root; `degree` holds each
     id's half-edge count, and `corner_edges` the (id, neighbour, kind) of
@@ -237,8 +294,9 @@ class _Template:
     """
 
     depth: int
-    labels: list
+    names: list[str]
     top: list[int]
+    corner: bytes
     starts: list[int]
     offsets: Sequence[int]
     nbrs: Sequence[int]
@@ -264,11 +322,11 @@ def _stamp(stamps: list[tuple[str, _Template]], cells: Optional[list[str]]):
     half-edges are gathered from every stamp that touches it and sorted.
     Kinds and digit counts add the digits of p in {0,1}.
 
-    With `cells`, the words of all cells stamp after stamp, the labels of
-    the top length are (cell word, corner), sharing the cell's string;
-    with None they are `_Template.top` codes.  Returns the labels, the top
-    codes, the length starts, offsets, nbrs, kind, degree, corners and
-    digits.
+    With `cells`, the words of all cells stamp after stamp, the names of
+    the top length are the cell words, sharing the cell's string; with
+    None they are `_Template.top` cell numbers.  Returns the names, the top
+    cell numbers, the corner bytes, the length starts, offsets, nbrs, kind,
+    degree, corners and digits.
     """
     from array import array  # a local import: see build_cells_graph
 
@@ -332,9 +390,9 @@ def _stamp(stamps: list[tuple[str, _Template]], cells: Optional[list[str]]):
     jnbrs = [(key >> 8) % n for key in jkeys]
     jkind = bytes([key & 255 for key in jkeys])
 
-    labels: list = []
-    codes: list[int] = []
-    out = codes if cells is None else labels  # where top-length labels go
+    names: list[str] = []
+    top_cells: list[int] = []
+    corner = bytearray()
     cell_base = list(accumulate((len(t.digits) for _, t in stamps), initial=0))
     nbrs: list[int] = []
     kind, degree = bytearray(), array("i")
@@ -342,10 +400,11 @@ def _stamp(stamps: list[tuple[str, _Template]], cells: Optional[list[str]]):
     for key in order:
         piece = pieces[key]
         if len(key) == 3:
-            if key[0] != top:
-                labels.append(piece)
-            else:  # in a template, every word of the top length is a cell's, cell k the base-4 value
-                out.append(piece if cells is not None else int(piece[0], 4) << 2 | piece[1])
+            if cells is None and key[0] == top:  # in a template, a word of the top length is cell k, its base-4 value
+                top_cells.append(int(piece[0], 4))
+            else:
+                names.append(piece[0])
+            corner.append(piece[1])
             degree.append(jdegree[i])
             waiting += jdegree[i]
             i += 1
@@ -358,13 +417,14 @@ def _stamp(stamps: list[tuple[str, _Template]], cells: Optional[list[str]]):
         b = key[0] - len(p)
         lo, hi = t.starts[b], t.starts[b + 1]
         if b < t.depth:
-            labels += [(p + x, c) for x, c in t.labels[lo:hi]]
+            names += [p + x for x in t.names[lo:hi]]
         elif cells is None:
-            shift = cell_base[piece] << 2
-            codes += [v + shift for v in t.top]
+            base = cell_base[piece]
+            top_cells += [k + base for k in t.top]
         else:
             base = cell_base[piece]
-            labels += [(cells[base + (v >> 2)], v & 3) for v in t.top]
+            names += [cells[base + k] for k in t.top]
+        corner += t.corner[lo:hi]
         ha, hb = t.offsets[lo], t.offsets[hi]
         table = tables[piece]
         nbrs += [table[j] for j in t.nbrs[ha:hb]]
@@ -385,7 +445,8 @@ def _stamp(stamps: list[tuple[str, _Template]], cells: Optional[list[str]]):
             pairs = sorted(zip(nbrs[h : h + m], kind[h : h + m]))
             nbrs[h : h + m] = [j for j, _ in pairs]
             kind[h : h + m] = bytes([k for _, k in pairs])
-    return labels, codes, starts, offsets, array("i", nbrs), bytes(kind), degree, array("i", corners), b"".join(digits)
+    return (names, top_cells, bytes(corner), starts, offsets, array("i", nbrs), bytes(kind), degree,
+            array("i", corners), b"".join(digits))
 
 
 def _templates(depth: int) -> list[_Template]:
@@ -394,15 +455,17 @@ def _templates(depth: int) -> list[_Template]:
 
     # one cell: its q1 (id 0) is joined to its q2 and q3 by edges of kind 0
     edges = [(0, 1, 0), (0, 2, 0), (1, 0, 0), (2, 0, 0)]
-    out = [_Template(0, [], [1, 2, 3], [0, 3], array("i", [0, 2, 3, 4]), array("i", [1, 2, 0, 0]),
+    out = [_Template(0, [], [0, 0, 0], bytes([1, 2, 3]), [0, 3], array("i", [0, 2, 3, 4]), array("i", [1, 2, 0, 0]),
                      bytes(4), array("i", [2, 1, 1]), array("i", [0, 1, 2]), bytes(1), edges, [])]
     while len(out) <= depth:
-        labels, top, starts, offsets, nbrs, kind, degree, corners, digits = _stamp([(d, out[-1]) for d in "0123"], None)
+        names, top, corner, starts, offsets, nbrs, kind, degree, corners, digits = _stamp(
+            [(d, out[-1]) for d in "0123"], None)
         edges = [(i, nbrs[h], kind[h]) for i in range(3) for h in range(offsets[i], offsets[i + 1])]
         # the interior ids next to two or more corners
         hits = Counter(j for _, j, _ in edges if j >= 3)
         listed = [(v, m) for v, m in hits.items() if m >= 2]
-        out.append(_Template(len(out), labels, top, starts, offsets, nbrs, kind, degree, corners, digits, edges, listed))
+        out.append(_Template(len(out), names, top, corner, starts, offsets, nbrs, kind, degree, corners, digits, edges,
+                             listed))
     return out
 
 
@@ -465,13 +528,12 @@ def build_cells_graph(words: Iterable[str], s0: Fraction, level: int) -> LevelGr
             stamps.append((cells[k] if e == 0 else p, e))
             k += 4**e
     templates = _templates(max(depth - 1, 0))
-    vertices, _, _, offsets, nbrs, kind, _, corners, digits = _stamp([(p, templates[e]) for p, e in stamps], cells)
-    del templates, stamps  # freed before the index is made: it is the build's peak
+    names, _, corner, starts, offsets, nbrs, kind, _, corners, digits = _stamp(
+        [(p, templates[e]) for p, e in stamps], cells)
     # cells with a digits in {0,1} share one conductance, of kind a
     conds = tuple(word_conductance("0" * a + "2" * (level - a), s0) for a in range(level + 1))
-    index = dict(zip(vertices, range(len(vertices))))
-    return LevelGraph(vertices, index, offsets, nbrs, array("B", kind), conds, s0.denominator**level, level, s0,
-                      tuple(cells), corners, digits)
+    return LevelGraph(offsets, nbrs, array("B", kind), conds, s0.denominator**level, level, s0,
+                      tuple(cells), corners, digits, names, corner, starts)
 
 
 def build_level_graph(level: int, s0: Fraction = Fraction(1, 2)) -> LevelGraph:

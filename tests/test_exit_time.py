@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from dendrite.addressing import canonicalize, parse_vertex, vertex_str
-from dendrite.dirichlet import green_g1
+from dendrite.dirichlet import green_g1, solve_dirichlet
 from dendrite.exit_time import (
     boundary_resistance,
     exit_ratio_experiment,
@@ -17,7 +17,7 @@ from dendrite.exit_time import (
     q0_ball,
     region_cell_masses,
 )
-from dendrite.harnack import BoundaryProfile, boundary_harmonic
+from dendrite.harnack import BoundaryProfile, boundary_harmonic, piece_boundary_values
 from dendrite.measure import WeightVector, ball_measure
 from dendrite.network import ball, ball_graph
 from dendrite.reduction import psi_skeleton_values, q0_boundary_resistance
@@ -161,6 +161,37 @@ def test_float_masses_match_the_fraction_masses():
             if n == 2:
                 region, g1 = exit_time_profile(n, w, n + 5, graph=g, mode="exact")
                 assert g1.values == green_g1(region, region_cell_masses(w, region), mode="exact").values
+
+
+def _label_keyed_solve(region, boundary, masses, mode):
+    """Oracle: the ball solve as one `solve_dirichlet` call on label-keyed pins and masses."""
+    cut = region.cut()
+    pinned = {v: boundary.get(v, 0) for v, d in zip(region.graph.vertices, region.units) if d >= cut}
+    return solve_dirichlet(region.graph, pinned, masses, mode)
+
+
+def _bits(values):
+    """Float values as hex strings, so that -0.0 and 0.0 differ."""
+    return [x.hex() for x in values]
+
+
+def test_ball_solves_by_id_match_label_keyed_solves():
+    """Exit-time and boundary-harmonic solves pin and load by vertex id; their values equal
+    the label-keyed solve bit for bit, the sign of zero included."""
+    weights = [WeightVector.parse(text) for text in ("1/10,2/5", "1/4,1/4")]
+    for n in (2, 3, 4):
+        g = ball_graph(n, n + 5)
+        for w in weights:
+            region, g1 = exit_time_profile(n, w, n + 5, graph=g)
+            masses = {v: float(m) for v, m in region_cell_masses(w, region).items()}
+            assert _bits(g1.values) == _bits(_label_keyed_solve(region, {}, masses, "float").values), (n, w)
+        for profile in (BoundaryProfile("upper", m=0, k=1), BoundaryProfile("lower", k=1)):
+            region, sol = boundary_harmonic(n, profile, n + 4)
+            want = _label_keyed_solve(region, piece_boundary_values(region, profile, n), None, "float")
+            assert _bits(sol.values) == _bits(want.values), (n, profile)
+    region, g1 = exit_time_profile(2, weights[0], 7, mode="exact")
+    want = _label_keyed_solve(region, {}, region_cell_masses(weights[0], region), "exact")
+    assert g1.values == want.values and all(type(x) is Fraction for x in g1.values)
 
 
 def test_g1_bounds_at_q0_against_eps_window():

@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +18,6 @@ from dendrite.measure import WeightVector, ball_measure, cell_measure, classify_
 from dendrite.metric import Metric
 from dendrite.network import (
     CapacityError,
-    LevelGraph,
     Network,
     ball,
     ball_cell_words,
@@ -446,7 +446,7 @@ def test_build_refuses_a_cell_set_that_is_empty_too_deep_or_nested(words, level,
 def test_build_merges_duplicates_and_sibling_cells_and_takes_words_in_any_order():
     want = build_cells_graph(["0", "21", "3"], HALF, 3)
     got = build_cells_graph(["3", "21", "0", "3", "21"], HALF, 3)
-    assert got.words == want.words and got.vertices == want.vertices and got.nbrs == want.nbrs
+    assert got.words == want.words and list(got.vertices) == list(want.vertices) and got.nbrs == want.nbrs
     # a short word stands for all of its level subcells
     assert got.words == tuple(w for w in words_of_length(3) if w[0] in "03" or w[:2] == "21")
     siblings = build_cells_graph(["0", "210", "211", "212", "213", "3"], HALF, 3)
@@ -552,6 +552,34 @@ def test_vertex_id_accepts_labels_and_raw_vertices():
         net.vertex_id("ground")
 
 
+def test_label_index_finds_labels_not_in_normal_form():
+    for level in (2, 3):
+        g = build_level_graph(level, Fraction(2, 5))
+        for length in range(level + 1):
+            for word in words_of_length(length):
+                for c in (1, 2, 3):
+                    v = (word, c)
+                    assert g.vertex_id(v) == g.index[canonicalize(*v)]
+                    assert (v in g.index) == (v == canonicalize(*v))
+
+
+def _outcome(call):
+    """A call's value, or its exception's type and message."""
+    try:
+        return "value", call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_label_index_answers_bad_labels_as_a_dict_does():
+    """`in`, `get` and `vertex_id` give a dict's answers, or its exceptions, for labels that are not vertices."""
+    for g in (build_level_graph(3), ball_graph(2, 6)):
+        as_dict = Network(list(g.vertices), dict(g.index), g.offsets, g.nbrs, g.kind, g.conds, g.unit)
+        for v in ("GND", ("2a", 1), ("2", 7), (2, 1), ("0" * (g.level + 1), 1), ["", 1], ("", 1.0), ("2", 1)):
+            for ask in (lambda net: v in net.index, lambda net: net.index.get(v), lambda net: net.vertex_id(v)):
+                assert _outcome(lambda: ask(g)) == _outcome(lambda: ask(as_dict)), v
+
+
 def _reference_adjacency(n, edges):
     """Oracle: neighbour lists of ids 0..n-1 filled in sorted (i, j, c) edge order, as networks stored them unpacked."""
     adj = [[] for _ in range(n)]
@@ -636,8 +664,8 @@ def test_packed_schur_traces_match_the_reference_adjacency():
 
 
 def test_ball_graph_memory():
-    """`ball_graph(5, 10)`, the largest graph of a ball-experiments pass, holds at most 8 MB
-    and adds fewer than 1,000 objects the garbage collector tracks."""
+    """`ball_graph(5, 10)`, the largest graph of a ball-experiments pass, holds at most 3.125 MB
+    (2.5 MB measured, plus a quarter) and adds fewer than 1,000 objects the garbage collector tracks."""
     ball_graph(5, 6)  # the module's caches are made before measuring
     gc.collect()
     objects = len(gc.get_objects())
@@ -650,7 +678,7 @@ def test_ball_graph_memory():
     finally:
         tracemalloc.stop()
     assert len(g.vertices) == 33_453
-    assert held <= 8 * 2**20, held
+    assert held <= 3.125 * 2**20, held
     assert len(gc.get_objects()) - objects < 1_000
 
 
@@ -681,6 +709,7 @@ def _reference_build(words, s0, level):
 
     Each word writes the normal forms of its three corners, ids come from
     sorting every vertex, and the half-edges from sorting every edge key.
+    The labels are a list and a dict, as level graphs stored them.
     """
     s0 = Fraction(s0)
     words = tuple(sorted(set(words)))
@@ -700,16 +729,23 @@ def _reference_build(words, s0, level):
     vertices, corners = _reference_sorted_ids(list(raw_index), raw_corners, level)
     conds = tuple(word_conductance("0" * a + "2" * (level - a), s0) for a in range(level + 1))
     q1 = corners[0::3]
-    packed = _reference_pack(len(vertices), q1 + q1, corners[1::3] + corners[2::3], s0_digits + s0_digits, level + 1)
+    offsets, nbrs, kind = _reference_pack(
+        len(vertices), q1 + q1, corners[1::3] + corners[2::3], s0_digits + s0_digits, level + 1)
     index = {v: i for i, v in enumerate(vertices)}
-    return LevelGraph(vertices, index, *packed, conds, s0.denominator**level, level, s0, words, corners, bytes(s0_digits))
+    return SimpleNamespace(vertices=vertices, index=index, offsets=offsets, nbrs=nbrs, kind=kind, conds=conds,
+                           unit=s0.denominator**level, level=level, s0=s0, words=words, corners=corners,
+                           s0_digits=bytes(s0_digits))
 
 
 _BUILD_FIELDS = ("vertices", "index", "offsets", "nbrs", "kind", "words", "corners", "s0_digits", "conds", "unit", "level", "s0")
 
 
 def _assert_same_build(got, want):
-    for field in _BUILD_FIELDS:
+    # a level graph's `vertices` and `index` are views: compared as the list and dict they stand for
+    assert list(got.vertices) == list(want.vertices), "vertices"
+    assert dict(got.index) == dict(want.index), "index"
+    assert all(got.vertex_id(v) == i for i, v in enumerate(got.vertices)), "vertex_id"
+    for field in _BUILD_FIELDS[2:]:
         assert getattr(got, field) == getattr(want, field), field
 
 
