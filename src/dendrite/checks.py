@@ -225,14 +225,14 @@ def check_energy_optimality():
     rng = random.Random(3)
     g = build_level_graph(2)
     sol = solve_dirichlet(g, {Q1: 1, Q2: 0, Q3: 0})
-    base = dirichlet_energy(g, sol)
+    base = dirichlet_energy(sol)
     free = [v for v in g.vertices if v not in ((Q1), (Q2), (Q3))]
     for _ in range(10):
         v = rng.choice(free)
         bumped = list(sol.values)
         bumped[g.vertex_id(v)] += Fraction(rng.randint(1, 9), 100)
         pert = dirichlet.VertexFunction(g, bumped, "exact")
-        if dirichlet_energy(g, pert) <= base:
+        if dirichlet_energy(pert) <= base:
             return False, f"perturbation at {v} did not increase energy"
     return True, "single-vertex perturbations strictly increase energy"
 
@@ -321,7 +321,7 @@ def check_closed_vs_discrete():
     for v, val in zip(g.vertices, sol2.values):
         if closed_forms.eval_closed(spec, v) != val:
             return False, f"V0 extension disagrees with the solve at {vertex_str(v)}"
-    if closed_forms.energy_closed(spec) != dirichlet_energy(g, sol2):
+    if closed_forms.energy_closed(spec) != dirichlet_energy(sol2):
         return False, "V0 extension energy mismatch"
     return True, "discrete solves reproduce the closed forms exactly"
 

@@ -109,45 +109,45 @@ def solve_dirichlet(
                 elif j != parent[i]:
                     raise RuntimeError("free subgraph contains a cycle")
 
-    # backward sweep: each carrying vertex as an affine function of its parent
+    # backward sweep: each carrying vertex as an affine function of its
+    # parent; until the sweep reaches i, alpha[i] and beta[i] hold the sums
+    # of k (1 - alpha) and k beta over i's processed children
     alpha = [zero] * n
     beta = [zero] * n
-    agg_c = [zero] * n  # sum of k_i (1 - alpha_i) over processed children
-    agg_b = [zero] * n  # sum of k_i beta_i over processed children
     for i in reversed(order):
         p = parent[i]
         if p >= 0 and not carries[i]:
             continue
         pinned_c, pinned_b = pinned_sums.get(i, no_pins)
         pc = parent_cond[i]  # zero at a root
-        denom = agg_c[i] + pinned_c + pc
+        denom = alpha[i] + pinned_c + pc
         if denom == 0:
             raise RuntimeError("floating component without pinned vertex")
         alpha[i] = pc / denom
-        beta[i] = (agg_b[i] + pinned_b + load[i]) / denom
+        beta[i] = (beta[i] + pinned_b + load[i]) / denom
         if p >= 0:
             carries[p] = True
-            agg_c[p] += pc * (one - alpha[i])
-            agg_b[p] += pc * beta[i]
+            alpha[p] += pc * (one - alpha[i])
+            beta[p] += pc * beta[i]
 
-    values = [zero] * n
+    # forward sweep: beta takes each vertex's value, a parent's before its
+    # children's (a root's beta is its value already)
     for i, val in pin.items():
-        values[i] = val
+        beta[i] = val
     for i in order:
         p = parent[i]
-        if p < 0:
-            values[i] = beta[i]
-        elif carries[i]:
-            values[i] = alpha[i] * values[p] + beta[i]
-        else:
+        if p >= 0 and carries[i]:
+            beta[i] = alpha[i] * beta[p] + beta[i]
+        elif p >= 0:
             # equals the parent's 1 * x + 0: a free parent's value comes
             # from beta, whose sums start at +0, so it is never -0.0
-            values[i] = values[p]
-    return VertexFunction(graph, values, mode)
+            beta[i] = beta[p]
+    return VertexFunction(graph, beta, mode)
 
 
-def dirichlet_energy(graph: Network, f: VertexFunction):
+def dirichlet_energy(f: VertexFunction):
     """Sum over edges of conductance times squared increment, in edge order."""
+    graph = f.graph
     conds, offsets, nbrs, kind = _cond_numbers(graph, f.mode), graph.offsets, graph.nbrs, graph.kind
     total = Fraction(0) if f.mode == "exact" else 0.0
     values = f.values
@@ -208,17 +208,18 @@ def solve_on_ball(
 ) -> VertexFunction:
     """Dirichlet problem on an open ball, pinned to `boundary` (0 where unset) off the ball.
 
+    `boundary` labels are read in normal form; one off the graph raises KeyError.
     `masses` is a label mapping or a per-id sequence, as `solve_dirichlet` takes it.
     """
-    cut, units, index = region.cut(), region.units, region.graph.index
+    cut, units, graph = region.cut(), region.units, region.graph
     # the vertices off the ball lie at integer distance >= cut; an entry of
-    # `boundary` on the ball, or not a vertex label, pins nothing
+    # `boundary` on the ball pins nothing
     pinned = [0 if d >= cut else None for d in units]
     for v, val in boundary.items():
-        i = index.get(v)
-        if i is not None and units[i] >= cut:
+        i = graph.vertex_id(v)
+        if units[i] >= cut:
             pinned[i] = val
-    return solve_dirichlet(region.graph, pinned, masses=masses, mode=mode)
+    return solve_dirichlet(graph, pinned, masses=masses, mode=mode)
 
 
 def green_g1(
@@ -230,21 +231,16 @@ def green_g1(
 
     `masses` is a label mapping or a per-id sequence, as `solve_dirichlet` takes it.
     """
-    cut, graph = region.cut(), region.graph
-    if isinstance(masses, Mapping):
-        for v in masses:
-            try:
-                inside = region.units[graph.vertex_id(v)] < cut
-            except KeyError:  # not in the graph
-                inside = False
-            if not inside:
-                raise ValueError(f"mass on non-interior vertex {vertex_str(v)}")
-    else:
-        for i, m in _by_id(graph, masses):
-            if m is not None and region.units[i] >= cut:
-                raise ValueError(f"mass on non-interior vertex {vertex_str(graph.vertices[i])}")
+    cut, units, graph = region.cut(), region.units, region.graph
+    try:
+        loads = _by_id(graph, masses)
+    except KeyError as exc:  # a label off the graph
+        raise ValueError(f"mass on non-interior vertex: {exc.args[0]}") from None
+    for i, m in loads:
+        if m is not None and units[i] >= cut:
+            raise ValueError(f"mass on non-interior vertex {vertex_str(graph.vertices[i])}")
     # the graph is connected and the center inside, so the frontier is
     # empty exactly when no vertex lies off the ball
-    if max(region.units) < cut:
+    if max(units) < cut:
         raise ValueError("ball has empty frontier; enlarge the level or shrink the radius")
     return solve_on_ball(region, {}, masses=masses, mode=mode)

@@ -68,7 +68,7 @@ def test_uminus_matches_discrete_solve_everywhere(s0):
     sol = solve_dirichlet(g, {Q1: a1, Q2: a2, Q3: a3})
     for v in g.vertices:
         assert eval_closed(spec, v) == sol[v]
-    assert energy_closed(spec) == dirichlet_energy(g, sol)
+    assert energy_closed(spec) == dirichlet_energy(sol)
 
 
 def test_uplus_junction_consistency():

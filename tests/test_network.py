@@ -1,6 +1,5 @@
 import gc
 import random
-import tracemalloc
 from array import array
 from collections import Counter
 from fractions import Fraction
@@ -663,20 +662,13 @@ def test_packed_schur_traces_match_the_reference_adjacency():
     assert traces == 18
 
 
-def test_ball_graph_memory():
+def test_ball_graph_memory(traced):
     """`ball_graph(5, 10)`, the largest graph of a ball-experiments pass, holds at most 3.125 MB
     (2.5 MB measured, plus a quarter) and adds fewer than 1,000 objects the garbage collector tracks."""
     ball_graph(5, 6)  # the module's caches are made before measuring
     gc.collect()
     objects = len(gc.get_objects())
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        g = ball_graph(5, 10)
-        gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
+    g, held, _ = traced(lambda: ball_graph(5, 10))
     assert len(g.vertices) == 33_453
     assert held <= 3.125 * 2**20, held
     assert len(gc.get_objects()) - objects < 1_000
@@ -793,18 +785,13 @@ def test_stamped_builds_match_the_per_word_reference():
 
 @pytest.mark.parametrize(
     "build, ceiling_mb",
-    [(lambda: ball_graph(5, 10), 13), (lambda: ball_graph(1, 8), 17.5), (lambda: build_level_graph(7), 12.5)],
+    [(lambda: ball_graph(5, 10), 6.75), (lambda: ball_graph(1, 8), 9.1), (lambda: build_level_graph(7), 6.875)],
     ids=["ball_graph(5, 10)", "ball_graph(1, 8)", "build_level_graph(7)"],
 )
-def test_build_peak_memory(build, ceiling_mb):
-    """The build's tracemalloc peak stays under the per-word build's (12.7, 17.4 and 12.4 MB)."""
+def test_build_peak_memory(traced, build, ceiling_mb):
+    """The build's tracemalloc peak stays under its measured peak plus a quarter (5.40, 7.28 and
+    5.50 MB measured), below the peaks of the build that stored label tuples (7.13, 10.91 and 7.35 MB)."""
     ball_graph(5, 6)  # the module's caches are made before measuring
     gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        build()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(build)
     assert peak <= ceiling_mb * 2**20, peak

@@ -54,7 +54,7 @@ def test_upward_conductance_vs_brute_force():
             if v[1] in (2, 3) and any(on_cantor_piece(v, p) for p in pieces)
         ]
         sol = solve_dirichlet(g, {Q2: 1, **{v: 0 for v in ground}})
-        assert dirichlet_energy(g, sol) == upward_grounded_conductance(level)
+        assert dirichlet_energy(sol) == upward_grounded_conductance(level)
         chain = uup_values(level)
         for m, want in chain.items():
             assert sol[canonicalize("0" * m + "2", 1)] == want
