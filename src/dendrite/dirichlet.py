@@ -3,9 +3,9 @@
 The solver is a tree elimination: one breadth-first pass reads each free
 vertex's edges once, linking it to its parent and summing its pinned
 neighbours; a backward sweep expresses every free vertex as an affine
-function of its parent, a forward sweep substitutes values.  With Fraction
-conductances the exact mode returns the energy minimiser exactly; float
-mode runs the same direct algorithm in double precision for large levels.
+function of its parent, a forward sweep substitutes values.  Exact mode
+runs them on Python ints, scaled once, and returns the energy minimiser
+exactly; float mode runs the same algorithm in double precision.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 from .addressing import Vertex, canonicalize, vertex_str
@@ -61,8 +62,8 @@ def solve_dirichlet(
     """
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
-    number, conds = (Fraction if mode == "exact" else float), _cond_numbers(graph, mode)
-    zero, one = number(0), number(1)
+    exact = mode == "exact"
+    number, zero = (Fraction, 0) if exact else (float, 0.0)
     pin = {i: number(val) for i, val in _by_id(graph, pinned) if val is not None}
     if not pin:
         raise ValueError("constraints must pin at least one vertex")
@@ -77,6 +78,17 @@ def solve_dirichlet(
             if m is not None:
                 load[i] += number(m)
                 carries[i] = True
+    if exact:
+        # in integers: with M the lcm of the conductance denominators and K that of the
+        # pin and load denominators, K u solves for conductances c M, pins v K, loads m K M
+        m_unit = lcm(*(c.denominator for c in graph.conds))
+        loaded = (m.denominator for m in load if m) if masses else ()
+        k_unit = lcm(*(v.denominator for v in pin.values()), *loaded)
+        conds = [c.numerator * (m_unit // c.denominator) for c in graph.conds]
+        data = {i: v.numerator * (k_unit // v.denominator) for i, v in pin.items()}
+        load = [m.numerator * (k_unit // m.denominator) * m_unit for m in load] if masses else load
+    else:
+        conds, data = _cond_numbers(graph, mode), pin
 
     # breadth-first over the free subgraph, `order` doubling as the queue; a
     # parent of None marks a vertex not yet reached, -1 a root.  Cycles through
@@ -88,7 +100,7 @@ def solve_dirichlet(
     offsets, nbrs, kind = graph.offsets, graph.nbrs, graph.kind
     order, k = [], 0
     for start in range(n):
-        if parent[start] is not None or start in pin:
+        if parent[start] is not None or start in data:
             continue
         parent[start] = -1
         order.append(start)
@@ -97,10 +109,10 @@ def solve_dirichlet(
             k += 1
             for h in range(offsets[i], offsets[i + 1]):
                 j = nbrs[h]
-                if j in pin:
+                if j in data:
                     cc = conds[kind[h]]
                     pinned_c, pinned_b = pinned_sums.get(i, no_pins)
-                    pinned_sums[i] = pinned_c + cc, pinned_b + cc * pin[j]
+                    pinned_sums[i] = pinned_c + cc, pinned_b + cc * data[j]
                     carries[i] = True
                 elif parent[j] is None:
                     parent[j] = i
@@ -109,11 +121,44 @@ def solve_dirichlet(
                 elif j != parent[i]:
                     raise RuntimeError("free subgraph contains a cycle")
 
-    # backward sweep: each carrying vertex as an affine function of its
+    if exact:
+        # backward sweep in ints: a carrying i ends with alpha = a / d, beta = b / d as alpha[i], beta[i],
+        # den[i]; until then they hold its children's sums of k (1 - alpha) and k beta over den[i], plus its load
+        alpha, beta, den = [0] * n, load, [1] * n
+        for i in reversed(order):
+            p = parent[i]
+            if p >= 0 and not carries[i]:
+                continue
+            pinned_c, pinned_b = pinned_sums.get(i, no_pins)
+            pc, s = parent_cond[i], den[i]
+            a, b, d = pc * s, beta[i] + pinned_b * s, alpha[i] + (pinned_c + pc) * s
+            if d == 0:
+                raise RuntimeError("floating component without pinned vertex")
+            g = gcd(a, b, d)
+            alpha[i], beta[i], den[i] = a, b, d = a // g, b // g, d // g
+            if p >= 0:
+                carries[p] = True
+                s, g = den[p], gcd(den[p], d)
+                alpha[p] = alpha[p] * (d // g) + pc * (d - a) * (s // g)
+                beta[p] = beta[p] * (d // g) + pc * b * (s // g)
+                den[p] = s * (d // g)
+        # forward sweep: alpha takes each vertex's value u = (a u(p) K + b) / (d K), a
+        # parent's before its children's, as one Fraction (u(p) = 0 at a root)
+        for i, val in pin.items():
+            alpha[i] = val
+        for i in order:
+            p = parent[i]
+            if p >= 0 and not carries[i]:
+                alpha[i] = alpha[p]
+            else:
+                up, e = (alpha[p].numerator, alpha[p].denominator) if p >= 0 else (0, 1)
+                alpha[i] = Fraction(alpha[i] * up * k_unit + beta[i] * e, den[i] * k_unit * e)
+        return VertexFunction(graph, alpha, mode)
+
+    # float backward sweep: each carrying vertex as an affine function of its
     # parent; until the sweep reaches i, alpha[i] and beta[i] hold the sums
     # of k (1 - alpha) and k beta over i's processed children
-    alpha = [zero] * n
-    beta = [zero] * n
+    alpha, beta = [0.0] * n, [0.0] * n
     for i in reversed(order):
         p = parent[i]
         if p >= 0 and not carries[i]:
@@ -127,7 +172,7 @@ def solve_dirichlet(
         beta[i] = (beta[i] + pinned_b + load[i]) / denom
         if p >= 0:
             carries[p] = True
-            alpha[p] += pc * (one - alpha[i])
+            alpha[p] += pc * (1.0 - alpha[i])
             beta[p] += pc * beta[i]
 
     # forward sweep: beta takes each vertex's value, a parent's before its
@@ -239,6 +284,11 @@ def green_g1(
     for i, m in loads:
         if m is not None and units[i] >= cut:
             raise ValueError(f"mass on non-interior vertex {vertex_str(graph.vertices[i])}")
+    if isinstance(masses, Mapping):  # handed on by id, so each label is resolved once
+        masses = [None] * len(units)
+        for i, m in loads:
+            if m is not None:  # two labels of one vertex add, as in solve_dirichlet
+                masses[i] = m if masses[i] is None else masses[i] + m
     # the graph is connected and the center inside, so the frontier is
     # empty exactly when no vertex lies off the ball
     if max(units) < cut:

@@ -29,23 +29,27 @@ class CapacityError(Exception):
     """Requested level exceeds the configured maximum or the full-graph limit."""
 
 
-def _pack(n: int, tails: Sequence[int], heads: Sequence[int], kind: Sequence[int], kinds: int):
-    """Half-edge arrays (offsets, nbrs, kind) of ids 0..n-1 for the edges tails[e]-heads[e] of kind kind[e] < `kinds`.
+def _pack(n: int, links: Mapping[tuple[int, int], object]):
+    """Half-edge arrays (offsets, nbrs, kind) of ids 0..n-1 for the edges i-j of `links`, and its distinct values.
 
-    Each edge gives two integer keys (v n + u) kinds + kind, one per end v,
-    and one sort of them lists every vertex's half-edges by ascending
-    neighbour id u.  That is the sorted (i, j) edge order `Network.edges`
+    Kind k is the k-th distinct value by first appearance.  Each edge gives two integer
+    keys (v n + u) kinds + kind, one per end v, and one sort of them lists every vertex's
+    half-edges by ascending neighbour id u: the sorted (i, j) edge order `Network.edges`
     reads back, and the order that walks and float sums follow.
     """
     from array import array  # a local import: see build_cells_graph
 
-    keys = [(i * n + j) * kinds + k for i, j, k in zip(tails, heads, kind)]
-    keys += [(j * n + i) * kinds + k for i, j, k in zip(tails, heads, kind)]
+    values: dict = {}
+    kind = [values.setdefault(x, len(values)) for x in links.values()]
+    kinds = len(values)
+    keys = [(i * n + j) * kinds + k for (i, j), k in zip(links, kind)]
+    keys += [(j * n + i) * kinds + k for (i, j), k in zip(links, kind)]
     keys.sort()
-    degree = Counter(tails)
-    degree.update(heads)
+    degree = Counter(i for i, _ in links)
+    degree.update(j for _, j in links)
     offsets = array("i", accumulate(map(degree.__getitem__, range(n)), initial=0))
-    return offsets, array("i", [key // kinds % n for key in keys]), array("i", [key % kinds for key in keys])
+    nbrs, kind = array("i", [key // kinds % n for key in keys]), array("i", [key % kinds for key in keys])
+    return offsets, nbrs, kind, tuple(values)
 
 
 class _Adjacency(Sequence):
@@ -88,14 +92,6 @@ class Network:
     conds: tuple[Fraction, ...]
     unit: int
 
-    @classmethod
-    def _of_conductances(cls, vertices: list, index: dict, cond: dict[tuple[int, int], Fraction], unit: int) -> Network:
-        """The network of the edges `cond[i, j]`, with one `conds` entry per distinct conductance."""
-        kinds: dict[Fraction, int] = {}
-        kind = [kinds.setdefault(c, len(kinds)) for c in cond.values()]
-        packed = _pack(len(vertices), [i for i, _ in cond], [j for _, j in cond], kind, len(kinds))
-        return cls(vertices, index, *packed, tuple(kinds), unit)
-
     @property
     def adj(self) -> Sequence[list[tuple[int, Fraction]]]:
         """The (neighbour, conductance) pairs of each id, by ascending neighbour."""
@@ -133,7 +129,7 @@ class Network:
                     vertices.append(x)
             i, j = sorted((index[u], index[v]))
             cond[i, j] = cond.get((i, j), Fraction(0)) + Fraction(c)
-        return cls._of_conductances(vertices, index, cond, lcm(*(c.numerator for c in cond.values())))
+        return cls(vertices, index, *_pack(len(vertices), cond), lcm(*(c.numerator for c in cond.values())))
 
     def vertex_id(self, v) -> int:
         """Id of a label; a vertex not found as given is looked up in normal form."""
@@ -818,7 +814,7 @@ def schur_trace(graph: Network, keep: Sequence[Vertex]) -> Network:
         is_kept[i] = True
     crossed = [False] * len(graph.vertices)
     new_id = {i: k for k, i in enumerate(kept)}
-    links: dict[tuple[int, int], Fraction] = {}
+    links: dict[tuple[int, int], int] = {}  # resistances in units of 1/unit
     for i in kept[1:]:
         u = parent[i]
         while not is_kept[u]:
@@ -826,10 +822,11 @@ def schur_trace(graph: Network, keep: Sequence[Vertex]) -> Network:
                 raise RuntimeError(f"non-tree structure: could not eliminate {graph.vertices[u]!r}")
             crossed[u] = True
             u = parent[u]
-        links[new_id[u], new_id[i]] = Fraction(unit, dist[i] - dist[u])
+        links[new_id[u], new_id[i]] = dist[i] - dist[u]
+    offsets, nbrs, kind, resistances = _pack(len(kept), links)
     vertices = [graph.vertices[i] for i in kept]
     index = {v: k for k, v in enumerate(vertices)}
-    return Network._of_conductances(vertices, index, links, unit)
+    return Network(vertices, index, offsets, nbrs, kind, tuple(Fraction(unit, r) for r in resistances), unit)
 
 
 def resistance_distance(graph: Network, u: Vertex, v: Vertex) -> Fraction:

@@ -16,7 +16,7 @@ from dendrite.dirichlet import (
 )
 from dendrite.exit_time import _lumped_masses, q0_ball
 from dendrite.measure import WeightVector
-from dendrite.network import Network, ball, ball_graph, build_level_graph
+from dendrite.network import Network, ball, ball_graph, build_level_graph, resistance_distance
 
 HALF = Fraction(1, 2)
 Q0, Q1, Q2, Q3 = ("2", 1), ("", 1), ("", 2), ("", 3)
@@ -99,6 +99,15 @@ def test_resistance_from_current_equals_inverse_energy():
         pinned = {**{v: 0 for v in low}, **{v: 1 for v in high}}
         assert r == 1 / dirichlet_energy(solve_dirichlet(g, pinned))
         assert abs(effective_resistance(g, low, high, mode="float") - float(r)) <= 1e-12 * float(r)
+    # between two vertices the elimination meets the integer tree walk
+    for s0 in (Fraction(1, 3), Fraction(2, 5)):
+        for level in (1, 3, 4):
+            g = build_level_graph(level, s0)
+            for _ in range(3):
+                a, b = rng.sample(g.vertices, 2)
+                r = effective_resistance(g, [a], [b])
+                assert type(r) is Fraction and r == resistance_distance(g, a, b)
+                assert abs(effective_resistance(g, [a], [b], mode="float") - float(r)) <= 1e-12 * float(r)
 
 
 def test_equilibrium_potential_basic():
@@ -161,6 +170,30 @@ def test_green_none_mass_loads_nothing():
     loads = [None] * len(g.vertices)
     loads[g.vertex_id(x)] = 1
     assert green_g1(region, loads).values == alone
+
+
+def _net_flow(g, values, i):
+    """Sum over the neighbours j of id i of c_ij (u_i - u_j)."""
+    return sum(c * (values[i] - values[j]) for j, c in g.adj[i])
+
+
+def test_green_resolves_each_mass_label_once(monkeypatch):
+    """`green_g1` checks a label mapping and hands the masses on by id, so two labels
+    cost two lookups; two labels of one vertex add."""
+    g = ball_graph(1, 4)
+    region = ball(g, Q0, HALF)
+    x, y = canonicalize("22", 1), canonicalize("0002", 1)
+    calls = []
+    lookup = g.vertex_id
+    monkeypatch.setattr(g, "vertex_id", lambda v: calls.append(v) or lookup(v))
+    sol = green_g1(region, {x: 1, y: 2}, mode="exact")
+    assert len(calls) == 2
+    monkeypatch.undo()
+    loads = {g.vertex_id(x): 1, g.vertex_id(y): 2}
+    for i in (g.vertex_id(v) for v in region.interior):
+        assert _net_flow(g, sol.values, i) == loads.get(i, 0)
+    # ("20", 1) is q0 = ("2", 1)
+    assert green_g1(region, {Q0: 1, ("20", 1): 2}).values == green_g1(region, {Q0: 3}).values
 
 
 def test_float_green_solve_peak_memory(traced):
@@ -233,8 +266,11 @@ def _random_pinned_tree(rng):
 def test_maximum_principle_on_random_pinned_trees():
     """With no masses, every exact value lies between the extreme pins, every free
     vertex is the conductance-weighted mean of its neighbours, and float mode
-    agrees within 1e-12 of the largest pin."""
-    rng = random.Random(18)
+    agrees within 1e-12 of the largest pin.  With seeded Fraction masses on free
+    vertices (conductance denominators up to 210, pin denominators up to 5), the net
+    flow out of every free vertex equals its mass exactly, and float mode agrees
+    within 1e-12 of the largest exact value."""
+    rng, mass_rng = random.Random(18), random.Random(19)
     for _ in range(40):
         tree, pins = _random_pinned_tree(rng)
         exact = solve_dirichlet(tree, pins, mode="exact")
@@ -246,6 +282,18 @@ def test_maximum_principle_on_random_pinned_trees():
             if v not in pins:
                 assert sum(c * (exact.values[j] - exact.values[i]) for j, c in tree.adj[i]) == 0
         scale = float(max(abs(lo), abs(hi)))
+        assert all(abs(f - float(e)) <= 1e-12 * scale for e, f in zip(exact.values, approx.values))
+
+        free = [v for v in tree.vertices if v not in pins]
+        picked = mass_rng.sample(free, mass_rng.randint(0, len(free)))
+        masses = {v: Fraction(mass_rng.randint(-6, 6), mass_rng.randint(1, 7)) for v in picked}
+        exact = solve_dirichlet(tree, pins, masses, mode="exact")
+        approx = solve_dirichlet(tree, pins, masses, mode="float")
+        assert all(type(x) is Fraction for x in exact.values)
+        assert all(exact[v] == val for v, val in pins.items())
+        for v in free:
+            assert _net_flow(tree, exact.values, tree.vertex_id(v)) == masses.get(v, 0)
+        scale = float(max(abs(x) for x in exact.values))
         assert all(abs(f - float(e)) <= 1e-12 * scale for e, f in zip(exact.values, approx.values))
 
 
