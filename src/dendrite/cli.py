@@ -228,10 +228,9 @@ def cmd_ball(args, cfg: RunConfig) -> int:
     _require_dyadic(cfg)
     region = q0_ball(args.n, args.level)
     mu = ball_measure(cfg.weights, region)
-    cut = region.cut()
     # the frontier above q0 lies in K_0, the one below in K_2
     rows = [
-        ["interior", sum(d < cut for d in region.units)],
+        ["interior", region.n_inside],
         ["frontier", len(region.frontier)],
         ["upper_boundary", sum(v[0].startswith("0") for v in region.frontier)],
         ["lower_boundary", sum(v[0].startswith("2") for v in region.frontier)],

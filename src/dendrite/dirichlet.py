@@ -1,11 +1,14 @@
 """Exact and floating Dirichlet solves on tree networks.
 
-The solver is a tree elimination: one breadth-first pass reads each free
-vertex's edges once, linking it to its parent and summing its pinned
-neighbours; a backward sweep expresses every free vertex as an affine
-function of its parent, a forward sweep substitutes values.  Exact mode
-runs them on Python ints, scaled once, and returns the energy minimiser
-exactly; float mode runs the same algorithm in double precision.
+The solver is a tree elimination in two steps.  The tree step links each
+free vertex to its parent and sums its pinned neighbours: on a general
+network one breadth-first pass reads each free vertex's edges once, and a
+ball problem reads the tree its region's walk already built (`ball_tree`),
+summing its frontier values by id.  The sweep, one piece of code for both
+trees, expresses every free vertex backward as an affine function of its
+parent, then substitutes values forward.  Exact mode runs the sweep on
+Python ints, scaled once, and returns the energy minimiser exactly; float
+mode runs the same algorithm in double precision.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .addressing import Vertex, canonicalize, vertex_str
 from .network import BallRegion, Network
@@ -37,8 +40,21 @@ def _cond_numbers(graph: Network, mode: str) -> Sequence:
     return graph.conds if mode == "exact" else [float(c) for c in graph.conds]
 
 
-def _by_id(graph: Network, data: Mapping[Vertex, object] | Sequence) -> Iterable[tuple[int, object]]:
-    """The (id, value) pairs of a label mapping, or of a sequence with one value per id."""
+@dataclass(frozen=True)
+class ById:
+    """Values keyed by vertex id, held for the ids that have one: the sparse form of a
+    sequence with one value per id."""
+
+    values: Mapping[int, object]
+
+    def __bool__(self) -> bool:
+        return bool(self.values)
+
+
+def _by_id(graph: Network, data: Mapping[Vertex, object] | Sequence | ById) -> Iterable[tuple[int, object]]:
+    """The (id, value) pairs of a label mapping, of a `ById`, or of a sequence with one value per id."""
+    if isinstance(data, ById):
+        return data.values.items()
     if isinstance(data, Mapping):
         return [(graph.vertex_id(v), x) for v, x in data.items()]
     if len(data) != len(graph.vertices):
@@ -46,26 +62,113 @@ def _by_id(graph: Network, data: Mapping[Vertex, object] | Sequence) -> Iterable
     return enumerate(data)
 
 
+class Tree(NamedTuple):
+    """The elimination tree of a Dirichlet problem whose pinned set is known beforehand.
+
+    `order` lists the free ids, each after its parent; `parent[i]` is the
+    parent of id i (-1 at the root) and `parent_kind[i]` the kind of the
+    half-edge between them, both indexed by id.  Every id not in `order`
+    is pinned, and `pinned` lists them.  `frontier` lists, in ascending
+    order, the pinned ids with a free neighbour: each has one, its parent.
+    `ball_tree` reads a tree off a ball region.
+    """
+
+    order: Sequence[int]
+    parent: Sequence[int]
+    parent_kind: Sequence[int]
+    frontier: Sequence[int]
+    pinned: Sequence[int]
+
+
+def ball_tree(region: BallRegion) -> Tree:
+    """The tree of a ball problem, read off the region's walk: the ids inside the ball, in
+    walk order from the center, are free, and every id off the ball is pinned."""
+    order, k = region.order, region.n_inside
+    return Tree(order[:k], region.parent, region.parent_kind, region.frontier_ids, order[k:])
+
+
+def _bfs_tree(graph: Network, conds: Sequence, data: Mapping[int, object], carries: list, zero):
+    """The breadth-first tree of the free vertices, and the pinned sums of each free id.
+
+    `order` doubles as the queue; a parent of None marks a vertex not yet
+    reached, -1 a root, which is the lowest free id of its component.
+    Cycles through pinned vertices are fine: pinned values are Dirichlet
+    data.  The sums map a free id to (sum of c, sum of c * value) over its
+    pinned neighbours, by ascending neighbour id.
+    """
+    from array import array  # a local import: see network.build_cells_graph
+
+    n = len(graph.offsets) - 1
+    parent: list = [None] * n
+    parent_kind = array(graph.kind.typecode, [0]) * n
+    pinned_sums = {}
+    no_pins = zero, zero
+    offsets, nbrs, kind = graph.offsets, graph.nbrs, graph.kind
+    order, k = [], 0
+    for start in range(n):
+        if parent[start] is not None or start in data:
+            continue
+        parent[start] = -1
+        order.append(start)
+        while k < len(order):
+            i = order[k]
+            k += 1
+            for h in range(offsets[i], offsets[i + 1]):
+                j = nbrs[h]
+                if j in data:
+                    cc = conds[kind[h]]
+                    pinned_c, pinned_b = pinned_sums.get(i, no_pins)
+                    pinned_sums[i] = pinned_c + cc, pinned_b + cc * data[j]
+                    carries[i] = True
+                elif parent[j] is None:
+                    parent[j] = i
+                    parent_kind[j] = kind[h]
+                    order.append(j)
+                elif j != parent[i]:
+                    raise RuntimeError("free subgraph contains a cycle")
+    return order, parent, parent_kind, pinned_sums
+
+
+def _frontier_sums(tree: Tree, conds: Sequence, data: Mapping[int, object], carries: list, zero):
+    """The pinned sums of a given tree: each frontier id adds to its parent's, in ascending id order."""
+    pinned_sums = {}
+    no_pins = zero, zero
+    parent, parent_kind = tree.parent, tree.parent_kind
+    for j in tree.frontier:
+        i, cc = parent[j], conds[parent_kind[j]]
+        pinned_c, pinned_b = pinned_sums.get(i, no_pins)
+        pinned_sums[i] = pinned_c + cc, pinned_b + cc * data.get(j, zero)
+        carries[i] = True
+    return pinned_sums
+
+
 def solve_dirichlet(
     graph: Network,
-    pinned: Mapping[Vertex, object] | Sequence,
-    masses: Optional[Mapping[Vertex, object] | Sequence] = None,
+    pinned: Mapping[Vertex, object] | Sequence | ById,
+    masses: Optional[Mapping[Vertex, object] | Sequence | ById] = None,
     mode: str = "exact",
+    tree: Optional[Tree] = None,
 ) -> VertexFunction:
     """Energy minimiser among functions with the pinned values.
 
     At every free vertex the solution satisfies the weighted-mean
     property, shifted by the vertex mass when `masses` is given (discrete
     Green problems).  Pinning every vertex returns the pinned data.
-    `pinned` and `masses` map labels to values, or hold one value per
-    vertex id; a value of None pins nothing or loads nothing.
+    `pinned` and `masses` map labels to values, hold one value per vertex
+    id, or are a `ById`; a value of None pins nothing or loads nothing.
+
+    The solve is a tree step and a sweep.  Without a `tree` the tree step
+    is a breadth-first pass over the free vertices.  With one, the
+    vertices outside `tree.order` are the pinned set, `pinned` gives their
+    values (0 where unset; an entry at a free vertex is ignored), and the
+    tree step only sums the frontier values.
     """
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
     exact = mode == "exact"
     number, zero = (Fraction, 0) if exact else (float, 0.0)
     pin = {i: number(val) for i, val in _by_id(graph, pinned) if val is not None}
-    if not pin:
+    if not (pin if tree is None else tree.frontier):
         raise ValueError("constraints must pin at least one vertex")
     n = len(graph.vertices)
     load = [zero] * n
@@ -89,82 +192,77 @@ def solve_dirichlet(
         load = [m.numerator * (k_unit // m.denominator) * m_unit for m in load] if masses else load
     else:
         conds, data = _cond_numbers(graph, mode), pin
-
-    # breadth-first over the free subgraph, `order` doubling as the queue; a
-    # parent of None marks a vertex not yet reached, -1 a root.  Cycles through
-    # pinned vertices are fine: pinned values are Dirichlet data.
-    parent: list = [None] * n
-    parent_cond = [zero] * n
-    pinned_sums = {}  # free id -> (sum of c, sum of c * value) over its pinned neighbours
-    no_pins = zero, zero
-    offsets, nbrs, kind = graph.offsets, graph.nbrs, graph.kind
-    order, k = [], 0
-    for start in range(n):
-        if parent[start] is not None or start in data:
-            continue
-        parent[start] = -1
-        order.append(start)
-        while k < len(order):
-            i = order[k]
-            k += 1
-            for h in range(offsets[i], offsets[i + 1]):
-                j = nbrs[h]
-                if j in data:
-                    cc = conds[kind[h]]
-                    pinned_c, pinned_b = pinned_sums.get(i, no_pins)
-                    pinned_sums[i] = pinned_c + cc, pinned_b + cc * data[j]
-                    carries[i] = True
-                elif parent[j] is None:
-                    parent[j] = i
-                    parent_cond[j] = conds[kind[h]]
-                    order.append(j)
-                elif j != parent[i]:
-                    raise RuntimeError("free subgraph contains a cycle")
-
+    if tree is None:
+        order, parent, parent_kind, pinned_sums = _bfs_tree(graph, conds, data, carries, zero)
+        pinned_ids = pin
+    else:
+        order, parent, parent_kind = tree.order, tree.parent, tree.parent_kind
+        pinned_sums = _frontier_sums(tree, conds, data, carries, zero)
+        pinned_ids = tree.pinned
     if exact:
-        # backward sweep in ints: a carrying i ends with alpha = a / d, beta = b / d as alpha[i], beta[i],
-        # den[i]; until then they hold its children's sums of k (1 - alpha) and k beta over den[i], plus its load
-        alpha, beta, den = [0] * n, load, [1] * n
-        for i in reversed(order):
-            p = parent[i]
-            if p >= 0 and not carries[i]:
-                continue
-            pinned_c, pinned_b = pinned_sums.get(i, no_pins)
-            pc, s = parent_cond[i], den[i]
-            a, b, d = pc * s, beta[i] + pinned_b * s, alpha[i] + (pinned_c + pc) * s
-            if d == 0:
-                raise RuntimeError("floating component without pinned vertex")
-            g = gcd(a, b, d)
-            alpha[i], beta[i], den[i] = a, b, d = a // g, b // g, d // g
-            if p >= 0:
-                carries[p] = True
-                s, g = den[p], gcd(den[p], d)
-                alpha[p] = alpha[p] * (d // g) + pc * (d - a) * (s // g)
-                beta[p] = beta[p] * (d // g) + pc * b * (s // g)
-                den[p] = s * (d // g)
-        # forward sweep: alpha takes each vertex's value u = (a u(p) K + b) / (d K), a
-        # parent's before its children's, as one Fraction (u(p) = 0 at a root)
-        for i, val in pin.items():
-            alpha[i] = val
-        for i in order:
-            p = parent[i]
-            if p >= 0 and not carries[i]:
-                alpha[i] = alpha[p]
-            else:
-                up, e = (alpha[p].numerator, alpha[p].denominator) if p >= 0 else (0, 1)
-                alpha[i] = Fraction(alpha[i] * up * k_unit + beta[i] * e, den[i] * k_unit * e)
-        return VertexFunction(graph, alpha, mode)
+        values = _exact_sweep(n, order, parent, parent_kind, conds, pinned_sums, carries, load, k_unit)
+    else:
+        values = _float_sweep(n, order, parent, parent_kind, conds, pinned_sums, carries, load)
+    # the pins, which no sweep reads: the parent of a free vertex is free
+    unset = number(0)
+    for i in pinned_ids:
+        values[i] = pin.get(i, unset)
+    return VertexFunction(graph, values, mode)
 
-    # float backward sweep: each carrying vertex as an affine function of its
-    # parent; until the sweep reaches i, alpha[i] and beta[i] hold the sums
-    # of k (1 - alpha) and k beta over i's processed children
-    alpha, beta = [0.0] * n, [0.0] * n
+
+def _exact_sweep(n, order, parent, parent_kind, conds, pinned_sums, carries, load, k_unit) -> list:
+    """The tree elimination in ints; returns each free vertex's value, as a `Fraction`, by id.
+
+    A carrying i ends the backward sweep with alpha = a / d, beta = b / d as
+    alpha[i], beta[i], den[i]; until then they hold its children's sums of
+    k (1 - alpha) and k beta over den[i], plus its load (`load` is `beta`).
+    """
+    alpha, beta, den = [0] * n, load, [1] * n
+    no_pins = 0, 0
     for i in reversed(order):
         p = parent[i]
         if p >= 0 and not carries[i]:
             continue
         pinned_c, pinned_b = pinned_sums.get(i, no_pins)
-        pc = parent_cond[i]  # zero at a root
+        pc, s = conds[parent_kind[i]] if p >= 0 else 0, den[i]
+        a, b, d = pc * s, beta[i] + pinned_b * s, alpha[i] + (pinned_c + pc) * s
+        if d == 0:
+            raise RuntimeError("floating component without pinned vertex")
+        g = gcd(a, b, d)
+        alpha[i], beta[i], den[i] = a, b, d = a // g, b // g, d // g
+        if p >= 0:
+            carries[p] = True
+            s, g = den[p], gcd(den[p], d)
+            alpha[p] = alpha[p] * (d // g) + pc * (d - a) * (s // g)
+            beta[p] = beta[p] * (d // g) + pc * b * (s // g)
+            den[p] = s * (d // g)
+    # forward sweep: alpha takes each vertex's value u = (a u(p) K + b) / (d K), a
+    # parent's before its children's, as one Fraction (u(p) = 0 at a root)
+    for i in order:
+        p = parent[i]
+        if p >= 0 and not carries[i]:
+            alpha[i] = alpha[p]
+        else:
+            up, e = (alpha[p].numerator, alpha[p].denominator) if p >= 0 else (0, 1)
+            alpha[i] = Fraction(alpha[i] * up * k_unit + beta[i] * e, den[i] * k_unit * e)
+    return alpha
+
+
+def _float_sweep(n, order, parent, parent_kind, conds, pinned_sums, carries, load) -> list:
+    """The tree elimination in floats; returns each free vertex's value by id.
+
+    The backward sweep writes each carrying vertex as an affine function of
+    its parent; until it reaches i, alpha[i] and beta[i] hold the sums of
+    k (1 - alpha) and k beta over i's processed children.
+    """
+    alpha, beta = [0.0] * n, [0.0] * n
+    no_pins = 0.0, 0.0
+    for i in reversed(order):
+        p = parent[i]
+        if p >= 0 and not carries[i]:
+            continue
+        pinned_c, pinned_b = pinned_sums.get(i, no_pins)
+        pc = conds[parent_kind[i]] if p >= 0 else 0.0
         denom = alpha[i] + pinned_c + pc
         if denom == 0:
             raise RuntimeError("floating component without pinned vertex")
@@ -177,8 +275,6 @@ def solve_dirichlet(
 
     # forward sweep: beta takes each vertex's value, a parent's before its
     # children's (a root's beta is its value already)
-    for i, val in pin.items():
-        beta[i] = val
     for i in order:
         p = parent[i]
         if p >= 0 and carries[i]:
@@ -187,7 +283,7 @@ def solve_dirichlet(
             # equals the parent's 1 * x + 0: a free parent's value comes
             # from beta, whose sums start at +0, so it is never -0.0
             beta[i] = beta[p]
-    return VertexFunction(graph, beta, mode)
+    return beta
 
 
 def dirichlet_energy(f: VertexFunction):
@@ -205,16 +301,14 @@ def dirichlet_energy(f: VertexFunction):
     return total
 
 
-def _potential(graph: Network, low, high, mode: str):
-    """The potential pinned to 0 on `low` and 1 on `high`, and 1 / its net current.
+def _pinned_potential(graph: Network, pinned: Mapping[Vertex, object] | ById, top: set[int], mode: str):
+    """The potential with the 0/1 pins `pinned`, held at 1 on the ids `top`, and 1 / its net current.
 
-    The current out of `high`, the sum of c (1 - u(j)) over the edges that
+    The current out of `top`, the sum of c (1 - u(j)) over the edges that
     leave it, equals the potential's energy (Green's identity).
     """
-    pinned = {v: 0 for v in low}
-    pinned.update({v: 1 for v in high})
     u = solve_dirichlet(graph, pinned, mode=mode)
-    top, values = {graph.vertex_id(v) for v in high}, u.values
+    values = u.values
     conds, offsets, nbrs, kind = _cond_numbers(graph, mode), graph.offsets, graph.nbrs, graph.kind
     current = sum(
         conds[kind[h]] * (1 - values[nbrs[h]])
@@ -223,6 +317,13 @@ def _potential(graph: Network, low, high, mode: str):
         if nbrs[h] not in top
     )
     return u, 1 / current
+
+
+def _potential(graph: Network, low, high, mode: str):
+    """The potential pinned to 0 on the labels `low` and 1 on the labels `high`, and 1 / its net current."""
+    pinned = {v: 0 for v in low}
+    pinned.update({v: 1 for v in high})
+    return _pinned_potential(graph, pinned, {graph.vertex_id(v) for v in high}, mode)
 
 
 def effective_resistance(graph: Network, a, b, mode: str = "exact"):
@@ -245,6 +346,26 @@ def equilibrium_potential(graph: Network, x: Vertex, grounded, mode: str = "exac
     return _potential(graph, grounded, [x], mode)
 
 
+def equilibrium_on_ball(region: BallRegion, x: Vertex, mode: str = "exact"):
+    """Unit potential at an interior x, zero on the ball's frontier; returns (psi, R(x, frontier)).
+
+    The frontier is grounded by id, as the region's walk gives it; the
+    vertices beyond it are free, as in `equilibrium_potential`.  A label
+    off the graph or off the ball raises ValueError.
+    """
+    graph = region.graph
+    x = canonicalize(*x)
+    try:
+        i = graph.vertex_id(x)
+    except KeyError:
+        i = None
+    if i is None or region.units[i] >= region.cut():
+        raise ValueError(f"{vertex_str(x)} is not interior to the ball")
+    pinned = dict.fromkeys(region.frontier_ids, 0)
+    pinned[i] = 1
+    return _pinned_potential(graph, ById(pinned), {i}, mode)
+
+
 def solve_on_ball(
     region: BallRegion,
     boundary: Mapping[Vertex, object],
@@ -253,18 +374,12 @@ def solve_on_ball(
 ) -> VertexFunction:
     """Dirichlet problem on an open ball, pinned to `boundary` (0 where unset) off the ball.
 
-    `boundary` labels are read in normal form; one off the graph raises KeyError.
-    `masses` is a label mapping or a per-id sequence, as `solve_dirichlet` takes it.
+    `boundary` labels are read in normal form; one off the graph raises KeyError,
+    and an entry on the ball pins nothing.  `masses` is a label mapping or a
+    per-id sequence, as `solve_dirichlet` takes it.  The solve runs on the
+    region's own tree (`ball_tree`), with no breadth-first pass of its own.
     """
-    cut, units, graph = region.cut(), region.units, region.graph
-    # the vertices off the ball lie at integer distance >= cut; an entry of
-    # `boundary` on the ball pins nothing
-    pinned = [0 if d >= cut else None for d in units]
-    for v, val in boundary.items():
-        i = graph.vertex_id(v)
-        if units[i] >= cut:
-            pinned[i] = val
-    return solve_dirichlet(graph, pinned, masses=masses, mode=mode)
+    return solve_dirichlet(region.graph, boundary, masses, mode=mode, tree=ball_tree(region))
 
 
 def green_g1(
@@ -291,6 +406,6 @@ def green_g1(
                 masses[i] = m if masses[i] is None else masses[i] + m
     # the graph is connected and the center inside, so the frontier is
     # empty exactly when no vertex lies off the ball
-    if max(units) < cut:
+    if region.n_inside == len(units):
         raise ValueError("ball has empty frontier; enlarge the level or shrink the radius")
     return solve_on_ball(region, {}, masses=masses, mode=mode)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .addressing import Q0, Vertex, canonicalize, vertex_str
-from .dirichlet import VertexFunction, equilibrium_potential, green_g1
+from .addressing import Q0, Vertex
+from .dirichlet import VertexFunction, equilibrium_on_ball, green_g1
 from .measure import (
     IntegralBounds,
     WeightVector,
@@ -43,14 +43,7 @@ def boundary_resistance(
     continuum resistance.
     """
     region = q0_ball(n, level, graph)
-    x = canonicalize(*x)
-    try:
-        inside = region.units[region.graph.vertex_id(x)] < region.cut()
-    except KeyError:  # not in the graph
-        inside = False
-    if not inside:
-        raise ValueError(f"{vertex_str(x)} is not interior to the ball")
-    psi, r = equilibrium_potential(region.graph, x, region.frontier, mode=mode)
+    psi, r = equilibrium_on_ball(region, x, mode=mode)
     return region, psi, r
 
 

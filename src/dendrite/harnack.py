@@ -14,10 +14,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .addressing import on_cantor_piece
-from .dirichlet import VertexFunction, solve_on_ball
+from .dirichlet import ById, VertexFunction, ball_tree, solve_dirichlet
 from .exit_time import fit_log2_slope, q0_ball
 from .measure import WeightVector, cell_measure_units, classify_region_cells
-from .network import BallRegion, LevelGraph, radius_crossings
+from .network import BallRegion, LevelGraph, crossing_fraction
 from .reduction import x_point_word
 
 
@@ -54,19 +54,26 @@ class BoundaryProfile:
         raise ValueError("mixtures have no single piece")
 
 
-def piece_boundary_values(region: BallRegion, profile: BoundaryProfile, n: int):
+def piece_values(region: BallRegion, profile: BoundaryProfile, n: int) -> dict[int, Fraction]:
+    """The profile's frontier data by vertex id, over `region.frontier_ids` in ascending order."""
     if profile.kind == "mixture":
-        values = {v: Fraction(0) for v in region.frontier}
+        values = dict.fromkeys(region.frontier_ids, Fraction(0))
         for part, coeff in profile.parts:
-            sub = piece_boundary_values(region, part, n)
-            for v, val in sub.items():
-                values[v] += Fraction(coeff) * val
+            for j, val in piece_values(region, part, n).items():
+                values[j] += Fraction(coeff) * val
         return values
     prefix = profile.piece_prefix(n)
-    hits = {v for v in region.frontier if on_cantor_piece(v, prefix)}
-    if not hits:
+    vertices, one, zero = region.graph.vertices, Fraction(1), Fraction(0)
+    values = {j: one if on_cantor_piece(vertices[j], prefix) else zero for j in region.frontier_ids}
+    if one not in values.values():
         raise ValueError(f"piece {prefix!r} has no lattice points on this frontier")
-    return {v: (Fraction(1) if v in hits else Fraction(0)) for v in region.frontier}
+    return values
+
+
+def piece_boundary_values(region: BallRegion, profile: BoundaryProfile, n: int) -> dict:
+    """The profile's frontier data by label."""
+    vertices = region.graph.vertices
+    return {vertices[j]: val for j, val in piece_values(region, profile, n).items()}
 
 
 def boundary_harmonic(
@@ -76,33 +83,39 @@ def boundary_harmonic(
     graph: Optional[LevelGraph] = None,
     mode: str = "float",
 ) -> tuple[BallRegion, VertexFunction]:
-    """Harmonic function on B(q0, 2^-n) with the profile's frontier data."""
+    """Harmonic function on B(q0, 2^-n) with the profile's frontier data.
+
+    The data are pinned by id on the region's own tree, as `solve_on_ball`
+    pins them once it has resolved its labels.
+    """
     if profile.kind != "mixture" and level < n + profile.k + 3:
         raise ValueError("level too small to resolve the boundary piece")
     region = q0_ball(n, level, graph)
-    sol = solve_on_ball(region, piece_boundary_values(region, profile, n), mode=mode)
-    return region, sol
+    values = ById(piece_values(region, profile, n))
+    return region, solve_dirichlet(region.graph, values, mode=mode, tree=ball_tree(region))
 
 
 def extrema_over_subball(
     region: BallRegion, values: VertexFunction, radius: Fraction
 ) -> tuple[float, float]:
-    """Extrema of a vertex function over B(q0, radius), cut edges interpolated."""
+    """Extrema of a vertex function over B(center, radius), cut edges interpolated.
+
+    The sub-ball is a subtree of the region's walk, so its cut edges are
+    the pairs (parent[j], j) with the parent inside and j not.
+    """
     radius = Fraction(radius)
-    units, cut = region.units, region.cut(radius)
+    units, cut, parent, kinds = region.units, region.cut(radius), region.parent, region.parent_kind
     vals = values.values
-    lo = hi = None
-    for val, d in zip(vals, units):
-        if d < cut:
-            x = float(val)
-            lo = x if lo is None or x < lo else lo
-            hi = x if hi is None or x > hi else hi
-    if lo is None:
+    xs = [float(val) for val, d in zip(vals, units) if d < cut]
+    if not xs:
         raise ValueError("sub-ball contains no vertices at this level")
-    for i, j, t in radius_crossings(region.graph, units, radius):
-        x = float(vals[i]) + float(t) * (float(vals[j]) - float(vals[i]))
-        lo, hi = min(lo, x), max(hi, x)
-    return lo, hi
+    t = crossing_fraction(region.graph, radius)
+    for j in [j for j, d in enumerate(units) if d >= cut and units[parent[j]] < cut]:
+        i = parent[j]
+        a, b = t(units[i], kinds[j])
+        vi = float(vals[i])
+        xs.append(vi + a / b * (float(vals[j]) - vi))  # int / int rounds as float(Fraction(a, b)) does
+    return min(xs), max(xs)
 
 
 def ehi_ratio(

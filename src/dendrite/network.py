@@ -17,7 +17,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import lcm
 from typing import Iterable, Optional
 
@@ -143,16 +143,21 @@ class Network:
                 raise KeyError(f"vertex {vertex_str(key)} not in graph")
         return i
 
+    def _resistances(self) -> list[int]:
+        """Each kind's edge resistance in units of 1/unit."""
+        out = []
+        for cond in self.conds:
+            r, rem = divmod(self.unit * cond.denominator, cond.numerator)
+            assert not rem, f"resistance 1/{cond} is not a multiple of 1/{self.unit}"
+            out.append(r)
+        return out
+
     def _walk(self, s: int) -> tuple[list[int], list[int]]:
         """Tree distances from id s in units of 1/unit (sums of edge resistances) and parent ids (-1 at s)."""
         dist: list = [None] * len(self.vertices)
         parent = [-1] * len(self.vertices)
         dist[s] = 0
-        resistance = []  # per kind
-        for cond in self.conds:
-            r, rem = divmod(self.unit * cond.denominator, cond.numerator)
-            assert not rem, f"resistance 1/{cond} is not a multiple of 1/{self.unit}"
-            resistance.append(r)
+        resistance = self._resistances()
         offsets, nbrs, kind = self.offsets, self.nbrs, self.kind
         stack = [s]
         while stack:
@@ -166,6 +171,49 @@ class Network:
                     stack.append(j)
         assert all(d is not None for d in dist), "graph is not connected"
         return dist, parent
+
+    def _tree_walk(self, s: int, cut: int):
+        """Breadth-first walk of the tree from id s that keeps its tree.
+
+        Returns (dist, parent, order, parent_kind, inside): the tree
+        distances in units of 1/unit, a list; the parent ids (-1 at s); the
+        ids in walk order; the kind of each id's half-edge to its parent (0
+        at s); and the number of ids at distance below `cut`.  The walk
+        reaches every id below the cut before any other, so those come first
+        in `order`, in breadth-first order from s.  The three per-id tables
+        are arrays, so no entry holds an int object of its own.  Keeping them
+        makes the walk about 40% slower than `_walk`, so only a ball does.
+        """
+        from array import array  # a local import: see build_cells_graph
+
+        n = len(self.offsets) - 1
+        dist: list = [None] * n
+        parent = array("i", [-1]) * n
+        parent_kind = array(self.kind.typecode, [0]) * n
+        dist[s] = 0
+        resistance = self._resistances()
+        offsets, nbrs, kind = self.offsets, self.nbrs, self.kind
+        # `order` doubles as the queue of the ids below the cut, `rest` as the
+        # queue of the others, which is walked once no id below the cut is left
+        order, rest = array("i", [s]), array("i")
+        below, beyond = order.append, rest.append
+        for i in chain(order, rest):
+            di = dist[i]
+            for h in range(offsets[i], offsets[i + 1]):
+                j = nbrs[h]
+                if dist[j] is None:
+                    k = kind[h]
+                    dist[j] = d = di + resistance[k]
+                    parent[j] = i
+                    parent_kind[j] = k
+                    if d < cut:
+                        below(j)
+                    else:
+                        beyond(j)
+        inside = len(order)
+        order += rest
+        assert len(order) == n, "graph is not connected"
+        return dist, parent, order, parent_kind, inside
 
     def distances_from(self, start) -> list[Fraction]:
         """Tree distance (sum of edge resistances) from start to every vertex."""
@@ -703,26 +751,41 @@ def ball_cell_words(center: Vertex, radius: Fraction, level: int) -> list[str]:
 class BallRegion:
     """Interior/frontier split of a metric ball on a level graph.
 
-    It is stored once, as the graph's integer walk from the center: the
-    vertex with id i lies at `units[i] / graph.unit` from it, and inside
-    the ball when `units[i] < cut()`.  `interior`, `frontier` and
-    `cut_edges` are label views of it, made on first use.
+    It is stored once, as the graph's breadth-first walk from the center:
+    the vertex with id i lies at `units[i] / graph.unit` from it, and
+    inside the ball when `units[i] < cut()`.  The walk's tree is kept in
+    arrays: `order` lists the ids, the `n_inside` ids inside the ball
+    first, each after its parent; `parent[i]` is the parent of id i (-1 at
+    the center) and `parent_kind[i]` the kind of the half-edge between
+    them.  The ball is a subtree, so the ids off the ball with a neighbour
+    inside (`frontier_ids`) are those whose parent is inside.  `interior`,
+    `frontier` and `cut_edges` are label views of it, made on first use.
     """
 
     graph: LevelGraph
     center: Vertex
     radius: Fraction
     units: list[int]  # distance from the center in units of 1/graph.unit, indexed by vertex id
+    order: Sequence[int]
+    parent: Sequence[int]
+    parent_kind: Sequence[int]
+    n_inside: int
 
     def cut(self, radius: Optional[Fraction] = None) -> int:
         """The least integer distance outside the open ball of `radius` (default: the region's)."""
         return units_cut(self.radius if radius is None else Fraction(radius), self.graph.unit)
 
     @cached_property
+    def frontier_ids(self) -> tuple[int, ...]:
+        """The ids off the ball with a neighbour inside it, ascending."""
+        units, parent, cut = self.units, self.parent, self.cut()
+        return tuple(sorted(j for j in self.order[self.n_inside:] if units[parent[j]] < cut))
+
+    @cached_property
     def interior(self) -> frozenset[Vertex]:
         """The vertices inside the open ball."""
-        cut = self.cut()
-        return frozenset([v for v, d in zip(self.graph.vertices, self.units) if d < cut])
+        vertices = self.graph.vertices
+        return frozenset([vertices[i] for i in self.order[: self.n_inside]])
 
     @cached_property
     def cut_edges(self) -> list[tuple[Vertex, Vertex, Fraction]]:
@@ -735,7 +798,8 @@ class BallRegion:
     @cached_property
     def frontier(self) -> frozenset[Vertex]:
         """The grounded vertices: those off the ball with an edge into it."""
-        return frozenset(v for _, v, _ in self.cut_edges)
+        vertices = self.graph.vertices
+        return frozenset([vertices[j] for j in self.frontier_ids])
 
 
 def units_cut(radius: Fraction, unit: int) -> int:
@@ -743,18 +807,33 @@ def units_cut(radius: Fraction, unit: int) -> int:
     return -(-radius.numerator * unit // radius.denominator)
 
 
+def crossing_fraction(graph: Network, radius: Fraction):
+    """The cut-edge interpolation: t(d, k), the fraction of an edge of kind k that lies inside
+    the open ball of `radius` when its inner end is at distance d / graph.unit from the center.
+
+    t = (radius - d / unit) times the edge's conductance, returned as an
+    (numerator, denominator) pair of ints.
+    """
+    unit = graph.unit
+    num, den = radius.numerator * unit, radius.denominator
+    terms = [(c.numerator, den * unit * c.denominator) for c in graph.conds]
+
+    def t(d: int, k: int) -> tuple[int, int]:
+        a, b = terms[k]
+        return (num - d * den) * a, b
+
+    return t
+
+
 def radius_crossings(graph: LevelGraph, units: Sequence[int], radius: Fraction):
     """Edges that leave the open ball {d < radius}, in edge order.
 
     `units` are the distances from the center in units of 1/graph.unit,
     as `graph._walk` gives them.  Returns (inside id, outside id, t) triples,
-    where t = (radius - d_inside) times the conductance is the fraction of
-    the edge's resistance that lies inside the ball.  The cells are
-    scanned, as both edges of a cell leave its corner q1.
+    with t the `crossing_fraction` of the edge as a `Fraction`.  The cells
+    are scanned, as both edges of a cell leave its corner q1.
     """
-    unit, conds = graph.unit, graph.conds
-    cut = units_cut(radius, unit)
-    num, den = radius.numerator * unit, radius.denominator
+    cut, t = units_cut(radius, graph.unit), crossing_fraction(graph, radius)
     out = []
     it = iter(graph.corners)
     for a, q1, q2, q3 in zip(graph.s0_digits, it, it, it):
@@ -762,8 +841,7 @@ def radius_crossings(graph: LevelGraph, units: Sequence[int], radius: Fraction):
         for j in (q2, q3):
             if (units[j] < cut) != inside:
                 i, o = (q1, j) if inside else (j, q1)
-                c = conds[a]
-                out.append((i, o, Fraction((num - units[i] * den) * c.numerator, den * unit * c.denominator)))
+                out.append((i, o, Fraction(*t(units[i], a))))
     # back into edge order: by the smaller end's id, then the larger's
     out.sort(key=lambda e: (e[0], e[1]) if e[0] < e[1] else (e[1], e[0]))
     return out
@@ -775,7 +853,8 @@ def ball(graph: LevelGraph, center: Vertex, radius: Fraction) -> BallRegion:
     if radius <= 0:
         raise ValueError("radius must be positive")
     center = canonicalize(*center)
-    return BallRegion(graph, center, radius, graph._walk(graph.vertex_id(center))[0])
+    units, parent, order, parent_kind, inside = graph._tree_walk(graph.vertex_id(center), units_cut(radius, graph.unit))
+    return BallRegion(graph, center, radius, units, order, parent, parent_kind, inside)
 
 
 def ball_graph(n: int, level: int) -> LevelGraph:

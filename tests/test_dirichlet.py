@@ -6,6 +6,7 @@ import pytest
 
 from dendrite.addressing import canonicalize
 from dendrite.dirichlet import (
+    ById,
     VertexFunction,
     dirichlet_energy,
     effective_resistance,
@@ -197,15 +198,16 @@ def test_green_resolves_each_mass_label_once(monkeypatch):
 
 
 def test_float_green_solve_peak_memory(traced):
-    """The float `green_g1` on `q0_ball(5, 10)` peaks at most 6.79 MB over its inputs (5.43 MB
-    measured, plus a quarter); with separate child-sum and value lists it peaked at 7.42 MB."""
+    """The float `green_g1` on `q0_ball(5, 10)` peaks at most 4.29 MB over its inputs (3.43 MB
+    measured, plus a quarter).  With a breadth-first pass of its own (order, parent and parent
+    conductance lists) it peaked at 5.39 MB, and with separate child-sum and value lists at 7.42 MB."""
     region = q0_ball(5, 10)
     loads = [None] * len(region.units)
     for i, m in _lumped_masses(WeightVector(Fraction(1, 10), Fraction(2, 5)), region, operator.truediv).items():
         loads[i] = m
     green_g1(region, loads, mode="float")  # the region's caches are made before measuring
     _, _, peak = traced(lambda: green_g1(region, loads, mode="float"))
-    assert peak <= 6.79 * 2**20, peak
+    assert peak <= 4.29 * 2**20, peak
 
 
 def test_solve_on_ball_pins_everything_outside_the_ball():
@@ -226,6 +228,88 @@ def test_solve_on_ball_reads_boundary_labels_in_normal_form():
     assert Q3 not in region.graph.index
     with pytest.raises(KeyError):
         solve_on_ball(region, {Q3: 1})
+
+
+def _hex(values):
+    return [x.hex() for x in values]
+
+
+def test_ball_solves_on_the_region_tree_match_the_breadth_first_solve():
+    """Seeded: `solve_on_ball` and `green_g1` solve on the region's walk tree, and agree with
+    `solve_dirichlet`'s own breadth-first pass given the same per-id pins (the boundary data
+    off the ball, 0 elsewhere off it) and masses.  Signed Fraction data on frontier ids,
+    on ids beyond the frontier and on ids inside the ball (which pin nothing), and signed
+    Fraction masses inside.  The breadth-first solve reads the same pins as a sparse `ById`.
+    Exact values are equal Fractions; float values are equal bit for
+    bit at q0, whose id is the lowest inside the ball, so that both trees have one root and
+    one order.  At other centres the breadth-first pass roots at the lowest id inside, so
+    float sums run in another order and agree within 1e-12 of the largest exact value."""
+    rng = random.Random(2026)
+    cases = {True: 0, False: 0}
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        level = n + rng.randint(2, 3)
+        g = ball_graph(n, level)
+        centers = [(Q0, Fraction(1, 2**n))]
+        centers.append((g.vertices[rng.randrange(len(g.vertices))], Fraction(rng.randint(1, 9), rng.randint(16, 64))))
+        for center, radius in centers:
+            region = ball(g, center, radius)
+            if region.n_inside == len(g.vertices):
+                continue
+            cut, units = region.cut(), region.units
+            frontier = list(region.frontier_ids)
+            beyond = [j for j in region.order[region.n_inside:] if j not in region.frontier_ids]
+            inside = list(region.order[: region.n_inside])
+            data = {}
+            for j in rng.sample(frontier, rng.randint(1, len(frontier))) + rng.sample(beyond, min(3, len(beyond))):
+                data[j] = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+            boundary = {g.vertices[j]: v for j, v in data.items()}
+            boundary[g.vertices[rng.choice(inside)]] = Fraction(5)  # on the ball: pins nothing
+            pins = [data.get(i, 0) if d >= cut else None for i, d in enumerate(units)]
+            masses = [None] * len(units)
+            for i in rng.sample(inside, rng.randint(0, min(40, len(inside)))):
+                masses[i] = Fraction(rng.randint(-9, 9), rng.randint(1, 13))
+            at_q0 = region.center == canonicalize(*Q0)
+            if at_q0:
+                assert g.vertex_id(Q0) == min(inside)
+            for load in (None, masses):
+                exact = solve_on_ball(region, boundary, load, mode="exact")
+                want = solve_dirichlet(g, pins, load, mode="exact")
+                assert exact.values == want.values and all(type(x) is Fraction for x in exact.values)
+                sparse = ById({i: p for i, p in enumerate(pins) if p is not None})
+                assert solve_dirichlet(g, sparse, load, mode="exact").values == want.values
+                approx = solve_on_ball(region, boundary, load, mode="float")
+                ref = solve_dirichlet(g, pins, load, mode="float")
+                if at_q0:
+                    assert _hex(approx.values) == _hex(ref.values)
+                scale = float(max(abs(x) for x in exact.values)) or 1.0
+                assert all(abs(f - float(e)) <= 1e-12 * scale for e, f in zip(exact.values, approx.values))
+                cases[at_q0] += 1
+            green = green_g1(region, masses, mode="float")
+            zero = [0 if p is not None else None for p in pins]
+            if at_q0:
+                assert _hex(green.values) == _hex(solve_dirichlet(g, zero, masses, mode="float").values)
+            assert green_g1(region, masses, mode="exact").values == solve_dirichlet(g, zero, masses).values
+    assert cases[True] >= 24 and cases[False] >= 16, cases
+
+
+def test_ball_solve_error_paths():
+    """A boundary label off the graph raises KeyError, a ball without frontier raises
+    ValueError, and a boundary entry on the ball pins nothing."""
+    region = q0_ball(2, 5)
+    assert Q3 not in region.graph.index
+    with pytest.raises(KeyError):
+        solve_on_ball(region, {Q3: 1})
+    whole = ball(build_level_graph(2), Q1, Fraction(3))
+    assert not whole.frontier_ids
+    for mode in ("exact", "float"):
+        with pytest.raises(ValueError, match="pin at least one vertex"):
+            solve_on_ball(whole, {}, mode=mode)
+    with pytest.raises(ValueError, match="empty frontier"):
+        green_g1(whole, {Q1: 1})
+    free = solve_on_ball(region, {Q0: 7}, mode="exact")
+    assert free.values == solve_on_ball(region, {}, mode="exact").values
+    assert all(x == 0 for x in free.values)
 
 
 def test_float_mode_matches_exact():

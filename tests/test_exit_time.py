@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from dendrite.addressing import canonicalize, parse_vertex, vertex_str
-from dendrite.dirichlet import green_g1, solve_dirichlet
+from dendrite.dirichlet import equilibrium_potential, green_g1, solve_dirichlet
 from dendrite.exit_time import (
     boundary_resistance,
     exit_ratio_experiment,
@@ -47,6 +47,24 @@ def test_boundary_resistance_rejects_frontier_point():
     for x in (("", 1), ("", 3)):  # on the frontier, and off the ball graph
         with pytest.raises(ValueError):
             boundary_resistance(x, 1, 5, graph=g)
+
+
+def test_boundary_resistance_grounds_the_frontier_ids():
+    """`boundary_resistance` grounds the frontier by id; psi and R equal the label-keyed
+    `equilibrium_potential` against `region.frontier`: exact values as Fractions, float
+    values bit for bit, since both solves run one breadth-first pass on one pinned set."""
+    for n, level in ((1, 6), (2, 6), (3, 7)):
+        g = ball_graph(n, level)
+        region = q0_ball(n, level, g)
+        for x in (Q0, sorted(region.interior)[len(region.interior) // 3]):
+            for mode in ("exact", "float"):
+                _, psi, r = boundary_resistance(x, n, level, graph=g, mode=mode)
+                want_psi, want_r = equilibrium_potential(g, x, region.frontier, mode=mode)
+                if mode == "exact":
+                    assert r == want_r and psi.values == want_psi.values
+                else:
+                    assert r.hex() == want_r.hex()
+                    assert [v.hex() for v in psi.values] == [v.hex() for v in want_psi.values]
 
 
 def test_typical_resistance_uniform_window():
