@@ -4,11 +4,15 @@ The solver is a tree elimination in two steps.  The tree step links each
 free vertex to its parent and sums its pinned neighbours: on a general
 network one breadth-first pass reads each free vertex's edges once, and a
 ball problem reads the tree its region's walk already built (`ball_tree`),
-summing its frontier values by id.  The sweep, one piece of code for both
+summing its boundary values by id.  A pinned id may then have free
+neighbours other than its parent: the source of an exact
+`equilibrium_on_ball` is pinned inside the ball, and its children in the
+walk are roots (`_source_tree`).  The sweep, one piece of code for both
 trees, expresses every free vertex backward as an affine function of its
 parent, then substitutes values forward.  Exact mode runs the sweep on
-Python ints, scaled once, and returns the energy minimiser exactly; float
-mode runs the same algorithm in double precision.
+Python ints, scaled once, and returns the energy minimiser exactly, so its
+values do not depend on the tree; float mode runs the same algorithm in
+double precision, whose sums depend on the tree's order.
 """
 
 from __future__ import annotations
@@ -66,25 +70,56 @@ class Tree(NamedTuple):
     """The elimination tree of a Dirichlet problem whose pinned set is known beforehand.
 
     `order` lists the free ids, each after its parent; `parent[i]` is the
-    parent of id i (-1 at the root) and `parent_kind[i]` the kind of the
+    parent of id i (-1 at a root) and `parent_kind[i]` the kind of the
     half-edge between them, both indexed by id.  Every id not in `order`
-    is pinned, and `pinned` lists them.  `frontier` lists, in ascending
-    order, the pinned ids with a free neighbour: each has one, its parent.
-    `ball_tree` reads a tree off a ball region.
+    is pinned, and `pinned` lists them.  `boundary` lists the edges
+    between a pinned and a free id as (pinned id, free id, kind) triples,
+    in the order their values are summed.  A pinned id may have a free
+    neighbour other than its parent: a root's pinned neighbour, as in
+    `_source_tree`.  `ball_tree` reads a tree off a ball region.
     """
 
     order: Sequence[int]
     parent: Sequence[int]
     parent_kind: Sequence[int]
-    frontier: Sequence[int]
+    boundary: Sequence[tuple[int, int, int]]
     pinned: Sequence[int]
 
 
 def ball_tree(region: BallRegion) -> Tree:
     """The tree of a ball problem, read off the region's walk: the ids inside the ball, in
-    walk order from the center, are free, and every id off the ball is pinned."""
-    order, k = region.order, region.n_inside
-    return Tree(order[:k], region.parent, region.parent_kind, region.frontier_ids, order[k:])
+    walk order from the center, are free, and every id off the ball is pinned.
+
+    The boundary edges are those from each frontier id to its parent, by ascending frontier id.
+    """
+    order, k, parent, kind = region.order, region.n_inside, region.parent, region.parent_kind
+    boundary = [(j, parent[j], kind[j]) for j in region.frontier_ids]
+    return Tree(order[:k], parent, kind, boundary, order[k:])
+
+
+def _source_tree(region: BallRegion, x: int) -> Tree:
+    """The tree of the equilibrium problem at the interior id x, read off the region's walk.
+
+    The ids inside the ball but x are free, in walk order; x and every id
+    off the ball are pinned.  The children of x inside the ball become
+    roots, each with x as a pinned neighbour, and x's parent, when x is
+    not the center, has x as one.
+    """
+    graph, kind, cut, units, k = region.graph, region.parent_kind, region.cut(), region.units, region.n_inside
+    parent = region.parent[:]
+    order = region.order[:k]
+    order.remove(x)
+    boundary = [(j, parent[j], kind[j]) for j in region.frontier_ids if parent[j] != x]
+    if parent[x] >= 0:
+        boundary.append((x, parent[x], kind[x]))
+    for h in range(graph.offsets[x], graph.offsets[x + 1]):
+        c = graph.nbrs[h]
+        if parent[c] == x and units[c] < cut:
+            parent[c] = -1
+            boundary.append((x, c, kind[c]))
+    pinned = region.order[k:]
+    pinned.append(x)
+    return Tree(order, parent, kind, boundary, pinned)
 
 
 def _bfs_tree(graph: Network, conds: Sequence, data: Mapping[int, object], carries: list, zero):
@@ -129,13 +164,12 @@ def _bfs_tree(graph: Network, conds: Sequence, data: Mapping[int, object], carri
     return order, parent, parent_kind, pinned_sums
 
 
-def _frontier_sums(tree: Tree, conds: Sequence, data: Mapping[int, object], carries: list, zero):
-    """The pinned sums of a given tree: each frontier id adds to its parent's, in ascending id order."""
+def _boundary_sums(tree: Tree, conds: Sequence, data: Mapping[int, object], carries: list, zero):
+    """The pinned sums of a given tree: each boundary edge adds to its free end's, in list order."""
     pinned_sums = {}
     no_pins = zero, zero
-    parent, parent_kind = tree.parent, tree.parent_kind
-    for j in tree.frontier:
-        i, cc = parent[j], conds[parent_kind[j]]
+    for j, i, k in tree.boundary:
+        cc = conds[k]
         pinned_c, pinned_b = pinned_sums.get(i, no_pins)
         pinned_sums[i] = pinned_c + cc, pinned_b + cc * data.get(j, zero)
         carries[i] = True
@@ -161,14 +195,14 @@ def solve_dirichlet(
     is a breadth-first pass over the free vertices.  With one, the
     vertices outside `tree.order` are the pinned set, `pinned` gives their
     values (0 where unset; an entry at a free vertex is ignored), and the
-    tree step only sums the frontier values.
+    tree step only sums the values across `tree.boundary`.
     """
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
     exact = mode == "exact"
     number, zero = (Fraction, 0) if exact else (float, 0.0)
     pin = {i: number(val) for i, val in _by_id(graph, pinned) if val is not None}
-    if not (pin if tree is None else tree.frontier):
+    if not (pin if tree is None else tree.pinned):
         raise ValueError("constraints must pin at least one vertex")
     n = len(graph.vertices)
     load = [zero] * n
@@ -197,7 +231,7 @@ def solve_dirichlet(
         pinned_ids = pin
     else:
         order, parent, parent_kind = tree.order, tree.parent, tree.parent_kind
-        pinned_sums = _frontier_sums(tree, conds, data, carries, zero)
+        pinned_sums = _boundary_sums(tree, conds, data, carries, zero)
         pinned_ids = tree.pinned
     if exact:
         values = _exact_sweep(n, order, parent, parent_kind, conds, pinned_sums, carries, load, k_unit)
@@ -301,13 +335,15 @@ def dirichlet_energy(f: VertexFunction):
     return total
 
 
-def _pinned_potential(graph: Network, pinned: Mapping[Vertex, object] | ById, top: set[int], mode: str):
+def _pinned_potential(
+    graph: Network, pinned: Mapping[Vertex, object] | ById, top: set[int], mode: str, tree: Optional[Tree] = None
+):
     """The potential with the 0/1 pins `pinned`, held at 1 on the ids `top`, and 1 / its net current.
 
     The current out of `top`, the sum of c (1 - u(j)) over the edges that
     leave it, equals the potential's energy (Green's identity).
     """
-    u = solve_dirichlet(graph, pinned, mode=mode)
+    u = solve_dirichlet(graph, pinned, mode=mode, tree=tree)
     values = u.values
     conds, offsets, nbrs, kind = _cond_numbers(graph, mode), graph.offsets, graph.nbrs, graph.kind
     current = sum(
@@ -349,9 +385,16 @@ def equilibrium_potential(graph: Network, x: Vertex, grounded, mode: str = "exac
 def equilibrium_on_ball(region: BallRegion, x: Vertex, mode: str = "exact"):
     """Unit potential at an interior x, zero on the ball's frontier; returns (psi, R(x, frontier)).
 
-    The frontier is grounded by id, as the region's walk gives it; the
-    vertices beyond it are free, as in `equilibrium_potential`.  A label
-    off the graph or off the ball raises ValueError.
+    The values are those of `equilibrium_potential` against the frontier.
+    Exact mode solves on the region's walk tree (`_source_tree`) with no
+    breadth-first pass: x is pinned to 1 and its children are roots, and
+    the frontier and every id beyond it are pinned to 0, the value they
+    take when free.  Exact values do not depend on the elimination tree,
+    so psi and R are the same Fractions.  Float sums do, so float mode
+    grounds the frontier by id and keeps the breadth-first pass of
+    `equilibrium_potential`, whose floats it matches bit for bit.  A label
+    off the graph or off the ball, or a ball without a frontier, raises
+    ValueError.
     """
     graph = region.graph
     x = canonicalize(*x)
@@ -361,9 +404,20 @@ def equilibrium_on_ball(region: BallRegion, x: Vertex, mode: str = "exact"):
         i = None
     if i is None or region.units[i] >= region.cut():
         raise ValueError(f"{vertex_str(x)} is not interior to the ball")
+    _require_frontier(region)
+    if mode == "exact":
+        return _pinned_potential(graph, ById({i: 1}), {i}, mode, tree=_source_tree(region, i))
     pinned = dict.fromkeys(region.frontier_ids, 0)
     pinned[i] = 1
     return _pinned_potential(graph, ById(pinned), {i}, mode)
+
+
+def _require_frontier(region: BallRegion) -> None:
+    """Raise ValueError for a ball without a frontier, on which no potential is grounded."""
+    # the graph is connected and the center inside, so the frontier is
+    # empty exactly when no vertex lies off the ball
+    if region.n_inside == len(region.units):
+        raise ValueError("ball has empty frontier; enlarge the level or shrink the radius")
 
 
 def solve_on_ball(
@@ -404,8 +458,5 @@ def green_g1(
         for i, m in loads:
             if m is not None:  # two labels of one vertex add, as in solve_dirichlet
                 masses[i] = m if masses[i] is None else masses[i] + m
-    # the graph is connected and the center inside, so the frontier is
-    # empty exactly when no vertex lies off the ball
-    if region.n_inside == len(units):
-        raise ValueError("ball has empty frontier; enlarge the level or shrink the radius")
+    _require_frontier(region)
     return solve_on_ball(region, {}, masses=masses, mode=mode)

@@ -10,6 +10,7 @@ from dendrite.dirichlet import (
     VertexFunction,
     dirichlet_energy,
     effective_resistance,
+    equilibrium_on_ball,
     equilibrium_potential,
     green_g1,
     solve_dirichlet,
@@ -295,7 +296,8 @@ def test_ball_solves_on_the_region_tree_match_the_breadth_first_solve():
 
 def test_ball_solve_error_paths():
     """A boundary label off the graph raises KeyError, a ball without frontier raises
-    ValueError, and a boundary entry on the ball pins nothing."""
+    ValueError (also for `equilibrium_on_ball`, in both modes), and a boundary entry on
+    the ball pins nothing."""
     region = q0_ball(2, 5)
     assert Q3 not in region.graph.index
     with pytest.raises(KeyError):
@@ -307,9 +309,41 @@ def test_ball_solve_error_paths():
             solve_on_ball(whole, {}, mode=mode)
     with pytest.raises(ValueError, match="empty frontier"):
         green_g1(whole, {Q1: 1})
+    for mode in ("exact", "float"):
+        with pytest.raises(ValueError, match="empty frontier"):
+            equilibrium_on_ball(whole, Q0, mode=mode)
     free = solve_on_ball(region, {Q0: 7}, mode="exact")
     assert free.values == solve_on_ball(region, {}, mode="exact").values
     assert all(x == 0 for x in free.values)
+
+
+def test_exact_ball_potential_matches_the_label_keyed_potential():
+    """Exact `equilibrium_on_ball`, solved on the region's walk tree, against the breadth-first
+    `equilibrium_potential(g, x, region.frontier)`: psi and R are equal Fractions.  Seeded
+    (n, level) with n + 4 <= level <= n + 6, and sources at the center, next to the frontier
+    (the parents of frontier ids) and at random inside the ball; and a ball that holds only
+    its center, where no id is free."""
+    g = build_level_graph(3)
+    alone = ball(g, Q0, Fraction(1, 10**6))
+    assert alone.n_inside == 1
+    psi, r = equilibrium_on_ball(alone, Q0)
+    want_psi, want_r = equilibrium_potential(g, Q0, alone.frontier)
+    assert r == want_r == Fraction(1, 72) and psi.values == want_psi.values
+    rng = random.Random(27)
+    for _ in range(6):
+        n = rng.randint(1, 3)
+        level = n + rng.randint(4, 6)
+        g = ball_graph(n, level)
+        region = q0_ball(n, level, g)
+        inside = list(region.order[: region.n_inside])
+        edge = sorted({region.parent[j] for j in region.frontier_ids})
+        sources = [region.order[0], *rng.sample(edge, 2), *rng.sample(inside, 2)]
+        for i in sources:
+            x = g.vertices[i]
+            psi, r = equilibrium_on_ball(region, x)
+            want_psi, want_r = equilibrium_potential(g, x, region.frontier)
+            assert r == want_r and psi.values == want_psi.values
+            assert all(type(v) is Fraction for v in psi.values)
 
 
 def test_float_mode_matches_exact():

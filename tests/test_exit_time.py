@@ -51,8 +51,10 @@ def test_boundary_resistance_rejects_frontier_point():
 
 def test_boundary_resistance_grounds_the_frontier_ids():
     """`boundary_resistance` grounds the frontier by id; psi and R equal the label-keyed
-    `equilibrium_potential` against `region.frontier`: exact values as Fractions, float
-    values bit for bit, since both solves run one breadth-first pass on one pinned set."""
+    `equilibrium_potential` against `region.frontier`.  Exact values are equal Fractions,
+    although the exact solve runs on the region's walk tree, since they do not depend on
+    the tree.  Float values are equal bit for bit, since float mode keeps the breadth-first
+    pass on the same pinned set."""
     for n, level in ((1, 6), (2, 6), (3, 7)):
         g = ball_graph(n, level)
         region = q0_ball(n, level, g)

@@ -826,9 +826,40 @@ def test_stamped_builds_match_the_per_word_reference():
     ids=["ball_graph(5, 10)", "ball_graph(1, 8)", "build_level_graph(7)"],
 )
 def test_build_peak_memory(traced, build, ceiling_mb):
-    """The build's tracemalloc peak stays under its measured peak plus a quarter (5.40, 7.28 and
+    """A cold build's tracemalloc peak stays under its measured peak plus a quarter (5.40, 7.28 and
     5.50 MB measured), below the peaks of the build that stored label tuples (7.13, 10.91 and 7.35 MB)."""
     ball_graph(5, 6)  # the module's caches are made before measuring
+    network._template.cache_clear()  # but the templates are built inside the measured build
     gc.collect()
     _, _, peak = traced(build)
     assert peak <= ceiling_mb * 2**20, peak
+
+
+def test_warm_template_builds_match_cold_builds():
+    """A build that stamps templates kept from earlier builds, at another s0 and level, equals
+    a build with no template kept, field for field, at s0 = 1/2, 1/3 and 2/5."""
+    leaves = network._ball_leaves(Q0, Fraction(1, 4), 6)
+    others = {HALF: Fraction(2, 5), Fraction(1, 3): HALF, Fraction(2, 5): Fraction(1, 3)}
+    for s0, other in others.items():
+        for build in (lambda: build_level_graph(5, s0), lambda: build_cells_graph(leaves, s0, 6)):
+            network._template.cache_clear()
+            cold = build()
+            network._template.cache_clear()
+            build_level_graph(6, other)  # keeps T_0 .. T_5
+            assert network._template.cache_info().currsize == 6
+            _assert_same_build(build(), cold)
+
+
+def test_template_cache_memory(traced):
+    """After a build of the full level-7 graph the process keeps T_0 .. T_6, one template per
+    depth, and their bytes stay under the measured 0.735 MB plus a quarter (tracemalloc)."""
+    ball_graph(5, 6)  # the module's other caches are made before measuring
+    network._template.cache_clear()
+    gc.collect()
+
+    def build():
+        build_level_graph(7)
+
+    _, held, _ = traced(build)
+    assert network._template.cache_info().currsize == 7
+    assert held <= 0.92 * 2**20, held
